@@ -75,7 +75,11 @@ class RunConfig:
                     merged[key] = float(str(raw).strip())
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        return cls(values=tuple(sorted(merged.items())))
+        config = cls(values=tuple(sorted(merged.items())))
+        # Range-check the training and loss values now, before any stage runs.
+        config.train_config()
+        config.loss_weights()
+        return config
 
     def get(self, key: str):
         for k, v in self.values:

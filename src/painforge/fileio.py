@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -48,13 +49,17 @@ def load_tensor(path) -> np.ndarray:
         raise DataError(f"{path}: unsupported tensor file version {version}")
     if code not in _DTYPE_CODES:
         raise DataError(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack(f"<{rank}I", raw[8:8 + 4 * rank])
+    header_end = 8 + 4 * rank
+    if len(raw) < header_end:
+        raise DataError(f"{path}: header of {len(raw)} bytes is too short for "
+                        f"rank {rank}")
+    dims = struct.unpack(f"<{rank}I", raw[8:header_end])
     dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(raw[8 + 4 * rank:], dtype=dtype)
-    if data.size != expected:
-        raise DataError(f"{path}: payload size {data.size} does not match dims {dims}")
-    return data.reshape(dims).copy()
+    payload = raw[header_end:]
+    if len(payload) != math.prod(dims) * dtype.itemsize:
+        raise DataError(f"{path}: payload of {len(payload)} bytes does not match "
+                        f"dims {dims} of {dtype}")
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
 def dump_json_line(record: dict) -> str:

@@ -80,11 +80,8 @@ class ModelParams:
         backbone = set(self.backbone_names())
         return [n for n in self.tensors if n not in backbone]
 
-    def numpy_state(self) -> dict:
-        return {name: t.data.copy() for name, t in self.tensors.items()}
-
     def replace(self, arrays: dict) -> None:
-        """Swap in updated parameter values as fresh gradient roots."""
+        """Install parameter values as fresh gradient roots."""
         for name, value in arrays.items():
             self.tensors[name] = Tensor(value, requires_grad=True)
 
@@ -208,8 +205,8 @@ def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
         raise DimensionError(
             f"patch dim {patches.shape[2]} does not match projection "
             f"{params.tensors['patch_proj.w'].shape}")
-    tok = T.add(T.matmul(Tensor(patches), params.tensors["patch_proj.w"]),
-                params.tensors["patch_proj.b"])
+    tok = T.linear(Tensor(patches), params.tensors["patch_proj.w"],
+                   params.tensors["patch_proj.b"])
     return T.add(tok, T.getitem(params.tensors["pos_embed"], slice(1, None)))
 
 
@@ -221,7 +218,7 @@ def _self_attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     p = params.tensors
 
     def proj(name, bias):
-        return T.add(T.matmul(x, p[prefix + name]), p[prefix + bias])
+        return T.linear(x, p[prefix + name], p[prefix + bias])
 
     def split_heads(t):
         return T.transpose(T.reshape(t, (batch, tokens, heads, head_dim)),
@@ -235,7 +232,7 @@ def _self_attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     attn = T.softmax(scores, axis=-1)
     mixed = T.matmul(attn, v)
     merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, tokens, d))
-    return T.add(T.matmul(merged, p[prefix + "wo"]), p[prefix + "bo"])
+    return T.linear(merged, p[prefix + "wo"], p[prefix + "bo"])
 
 
 def encoder_forward(tokens: Tensor, params: ModelParams) -> Tensor:
@@ -248,8 +245,8 @@ def encoder_forward(tokens: Tensor, params: ModelParams) -> Tensor:
             normed = T.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
             x = T.add(x, _self_attention(normed, params, pre + "attn."))
             normed = T.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            h = T.gelu(T.add(T.matmul(normed, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
-            x = T.add(x, T.add(T.matmul(h, p[pre + "mlp.w2"]), p[pre + "mlp.b2"]))
+            h = T.gelu(T.linear(normed, p[pre + "mlp.w1"], p[pre + "mlp.b1"]))
+            x = T.add(x, T.linear(h, p[pre + "mlp.w2"], p[pre + "mlp.b2"]))
         except NumericError as exc:
             raise NumericError(f"encoder layer {layer}: {exc}") from exc
     return x
@@ -279,8 +276,8 @@ def au_cross_attention(patches: Tensor, queries: Tensor) -> tuple[Tensor, Tensor
 def au_head(features: Tensor, params: ModelParams) -> Tensor:
     """Two linear layers with ReLU after each; output is non-negative."""
     p = params.tensors
-    h = T.relu(T.add(T.matmul(features, p["au_head.w1"]), p["au_head.b1"]))
-    out = T.relu(T.add(T.matmul(h, p["au_head.w2"]), p["au_head.b2"]))
+    h = T.relu(T.linear(features, p["au_head.w1"], p["au_head.b1"]))
+    out = T.relu(T.linear(h, p["au_head.w2"], p["au_head.b2"]))
     batch = features.shape[0]
     return T.reshape(out, (batch, -1)) if out.ndim == 3 else out
 
@@ -291,13 +288,13 @@ def pspi_head(cls_feature: Tensor, params: ModelParams, training: bool = False,
     p = params.tensors
     cfg = params.config
     h = T.layer_norm(cls_feature, p["pspi_head.ln.g"], p["pspi_head.ln.b"])
-    h = T.gelu(T.add(T.matmul(h, p["pspi_head.w1"]), p["pspi_head.b1"]))
+    h = T.gelu(T.linear(h, p["pspi_head.w1"], p["pspi_head.b1"]))
     h = T.dropout(h, cfg.dropout_p, training,
                   keyed_rng(run_seed, STREAM_DROPOUT, _DROP_SITE_PSPI_1, step))
-    h = T.gelu(T.add(T.matmul(h, p["pspi_head.w2"]), p["pspi_head.b2"]))
+    h = T.gelu(T.linear(h, p["pspi_head.w2"], p["pspi_head.b2"]))
     h = T.dropout(h, cfg.dropout_p, training,
                   keyed_rng(run_seed, STREAM_DROPOUT, _DROP_SITE_PSPI_2, step))
-    return T.add(T.matmul(h, p["pspi_head.w3"]), p["pspi_head.b3"])
+    return T.linear(h, p["pspi_head.w3"], p["pspi_head.b3"])
 
 
 def forward(images: np.ndarray, params: ModelParams, training: bool = False,

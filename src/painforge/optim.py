@@ -74,12 +74,22 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr,
             state.param_steps[name] = 0
         state.param_steps[name] += 1
         t = state.param_steps[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
         step_lr = lr_for(name)
-        out[name] = theta - step_lr * wd * theta - step_lr * m_hat / (np.sqrt(v_hat) + eps)
+        # theta - lr*wd*theta - lr*m_hat / (sqrt(v_hat) + eps), with the moments
+        # updated in place and fewer temporaries; every rounding is the same.
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        denom = np.sqrt(v / (1.0 - beta2 ** t))
+        denom += eps
+        step = m / (1.0 - beta1 ** t)
+        step *= step_lr
+        step /= denom
+        updated = theta - step_lr * wd * theta
+        updated -= step
+        out[name] = updated
     state.step += 1
     return out
 

@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Tensors are immutable once created; each operation returns a fresh Tensor
-holding a backward closure. Gradients accumulate into ``.grad`` when
-``backward()`` is called on a scalar result. Every operation validates its
-output for NaN/Inf so numerical trouble surfaces at the op that caused it
-instead of three layers downstream.
+Each operation returns a fresh Tensor holding a backward closure; only
+leaf tensors change afterwards, through :meth:`Tensor.assign`, as an
+optimizer writes its update. Gradients accumulate into ``.grad`` when
+``backward()`` is called on a scalar result, and only for operands that
+require grad. Every operation validates its output for NaN/Inf so numerical
+trouble surfaces at the op that caused it instead of three layers downstream.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ class Tensor:
         self.data = _as_array(data, dtype)
         if self.data.size == 0:
             raise DimensionError("tensor must not have zero-size dimensions")
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError("non-finite values in tensor of shape "
-                               f"{self.data.shape}")
+        _check_finite(self.data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -72,8 +71,17 @@ class Tensor:
             raise DimensionError(f"item() needs a 1-element tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
+    def assign(self, data: np.ndarray) -> None:
+        """Give a leaf tensor new values and clear its gradient.
+
+        The training step writes each optimizer update through this instead of
+        building a new tensor; the values pass the same finite check as
+        construction.
+        """
+        data = _as_array(data)
+        _check_finite(data)
+        self.data = data
+        self.grad = None
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -164,10 +172,17 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
+def _check_finite(data: np.ndarray) -> None:
+    if not np.all(np.isfinite(data)):
+        raise NumericError(f"non-finite values in tensor of shape {data.shape}")
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    # Gradient arrays are never written in place, so a first contribution is
+    # stored without a copy.
     if not t.requires_grad:
         return
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -184,11 +199,18 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, backward_fn,
+          op: str | None = None) -> Tensor:
+    """Wrap an op's output; ``op`` names fused ops in NumericError messages."""
     req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req,
-                  _parents=parents if req else (),
-                  _backward_fn=backward_fn if req else None)
+    try:
+        return Tensor(data, requires_grad=req,
+                      _parents=parents if req else (),
+                      _backward_fn=backward_fn if req else None)
+    except NumericError as exc:
+        if op is None:
+            raise
+        raise NumericError(f"{op}: {exc}") from exc
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -294,10 +316,39 @@ def matmul(a, b) -> Tensor:
             f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from exc
 
     def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(out_data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``, as one node.
+
+    ``w`` is (in, out) and ``b`` is (out,); the leading axes of ``x`` are
+    batch axes. The weight gradient is a single GEMM over the flattened batch
+    axes, and ``dx`` is computed only when ``x`` requires grad.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise DimensionError(
+            f"linear needs (in, out) weights and (out,) bias, got {w.shape} and {b.shape}")
+    if x.shape[-1:] != w.shape[:1]:
+        raise DimensionError(f"linear input {x.shape} does not match weights {w.shape}")
+    out_data = np.matmul(x.data, w.data) + b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if w.requires_grad:
+            _accum(w, x.data.reshape(-1, x.shape[-1]).T @ g2)
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(x.shape))
+
+    return _make(out_data, (x, w, b), backward, "linear")
 
 
 # -- shape manipulation --------------------------------------------------------
@@ -462,7 +513,10 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean/unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean/unit variance, then scale and shift.
+
+    One node with an analytic backward for ``a``, ``gamma`` and ``beta``.
+    """
     a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     dim = a.shape[-1]
     if dim == 0:
@@ -471,12 +525,32 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm affine parameters must have shape ({dim},), "
             f"got {gamma.shape} and {beta.shape}")
-    mu = tmean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv_std = power(add(var, eps), -0.5)
-    normalized = mul(centered, inv_std)
-    return add(mul(normalized, gamma), beta)
+    # The same numpy expressions as the mean / variance / power primitives,
+    # so the forward bits match a composition of those ops.
+    inv_dim = 1.0 / dim
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_dim
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
+    # An overflowing variance would give finite (zero) outputs; stop here as
+    # the primitive ops' own checks did.
+    if not np.all(np.isfinite(var)):
+        raise NumericError(
+            f"layer_norm: non-finite variance for input of shape {a.shape}")
+    inv_std = (var + eps) ** -0.5
+    normalized = centered * inv_std
+    out_data = normalized * gamma.data + beta.data
+
+    def backward(g):
+        if gamma.requires_grad:
+            _accum(gamma, (g * normalized).reshape(-1, dim).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.reshape(-1, dim).sum(axis=0))
+        if a.requires_grad:
+            gn = g * gamma.data
+            mean_gn = gn.sum(axis=-1, keepdims=True) * inv_dim
+            mean_gn_x = (gn * normalized).sum(axis=-1, keepdims=True) * inv_dim
+            _accum(a, inv_std * (gn - mean_gn - normalized * mean_gn_x))
+
+    return _make(out_data, (a, gamma, beta), backward, "layer_norm")
 
 
 # -- losses ---------------------------------------------------------------------

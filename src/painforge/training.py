@@ -72,6 +72,11 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(
+                f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -244,7 +249,8 @@ def _train_loop(role: str, inputs: np.ndarray, pspi: np.ndarray, au: np.ndarray,
     params = init_params(model_config, config.seed)
     group_of = {n: "backbone" for n in params.backbone_names()}
     group_of.update({n: "heads" for n in params.head_names()})
-    state = init_optim_state(params.numpy_state(), group_of, config.weight_decay)
+    state = init_optim_state({n: t.data for n, t in params.tensors.items()},
+                             group_of, config.weight_decay)
 
     train_idx, val_idx = _identity_split(subjects, config.val_fraction, config.seed)
     report = TrainReport(role=role, seed=config.seed,
@@ -272,7 +278,10 @@ def _train_loop(role: str, inputs: np.ndarray, pspi: np.ndarray, au: np.ndarray,
               "heads": cosine_lr(epoch, config.epochs, config.lr_heads,
                                  config.floor_fraction)}
         frozen = epoch < config.freeze_epochs
-        trainable = params.head_names() if frozen else list(params.tensors)
+        # A frozen backbone is a constant: backward neither builds nor walks
+        # its graph, and only the heads receive gradients.
+        for name in params.backbone_names():
+            params.tensors[name].requires_grad = not frozen
 
         order = train_idx[keyed_rng(config.seed, STREAM_SHUFFLE, epoch)
                           .permutation(train_idx.size)]
@@ -292,11 +301,13 @@ def _train_loop(role: str, inputs: np.ndarray, pspi: np.ndarray, au: np.ndarray,
                                         {"pspi": pspi[batch], "au": au[batch]},
                                         weights)
             total.backward()
-            grads = {n: params.tensors[n].grad for n in trainable
-                     if params.tensors[n].grad is not None}
-            params.replace(adamw_step(params.numpy_state(), grads, state, lr,
-                                      betas=config.betas,
-                                      weight_decay=config.weight_decay))
+            grads = {n: t.grad for n, t in params.tensors.items()
+                     if t.grad is not None}
+            updated = adamw_step({n: params.tensors[n].data for n in grads},
+                                 grads, state, lr, betas=config.betas,
+                                 weight_decay=config.weight_decay)
+            for name, value in updated.items():
+                params.tensors[name].assign(value)
             for name, value in terms.items():
                 term_sums[name] = term_sums.get(name, 0.0) + value
             n_batches += 1

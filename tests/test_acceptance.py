@@ -59,6 +59,10 @@ def test_criterion_2_gradient_correctness():
     beta = Tensor(rng.normal(size=6))
     teacher_logits = Tensor(rng.normal(size=(2, 6)))
     mse_target = Tensor(rng.normal(size=(2, 6)))
+    lin_w, lin_b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+    lin_x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    lin_const_x = Tensor(rng.normal(size=(2, 3, 4)))
+    w233 = Tensor(rng.random((2, 3, 3)) + 0.5)
 
     op_cases = {
         "add": (6, lambda x: T.tsum((x + 1.5) * w6)),
@@ -69,6 +73,11 @@ def test_criterion_2_gradient_correctness():
         "exp": (6, lambda x: T.tsum(T.exp(0.3 * x))),
         "log": (6, lambda x: T.tsum(T.log(x * x + 1.0))),
         "matmul": ((2, 4), lambda x: T.tsum((x @ mat) * w23)),
+        "linear": ((2, 3, 4), lambda x: T.tsum(T.linear(x, lin_w, lin_b) * w233)),
+        "linear_weight": ((4, 3), lambda x: T.tsum(
+            T.linear(lin_x, x, lin_b) * w233)),
+        "linear_const_input": (15, lambda x: T.tsum(
+            T.linear(lin_const_x, x[:12].reshape(4, 3), x[12:]) * w233)),
         "sum": (6, lambda x: T.tsum(T.tsum(x.reshape(2, 3), axis=1) ** 2)),
         "mean": (6, lambda x: T.tmean(x * x)),
         "reshape_transpose": (6, lambda x: T.tsum(

@@ -8,6 +8,7 @@ from painforge.cli import main
 from painforge.config import load_config, parse_config_text
 from painforge.errors import ConfigError
 from painforge.fileio import file_sha256, read_manifest
+from painforge.model import ModelConfig, init_params, save_checkpoint
 
 TOY_CONFIG = """\
 # toy run
@@ -62,6 +63,20 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "none.cfg")
+
+    @pytest.mark.parametrize("line", ["train.val_fraction = 1.5",
+                                      "train.weight_decay = -1"])
+    def test_out_of_range_train_value_rejected_at_parse(self, line):
+        with pytest.raises(ConfigError):
+            parse_config_text(line + "\n")
+
+    def test_out_of_range_config_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CONFIG + "train.val_fraction = 1.5\n")
+        code = main(["train", "--role", "teacher", "--data",
+                     str(tmp_path / "manifest.jsonl"), "--config", str(bad)])
+        assert code == 2
+        assert "val_fraction" in capsys.readouterr().err
 
     def test_typed_views(self, config_file):
         config = load_config(config_file)
@@ -151,6 +166,20 @@ class TestTrainEvaluate:
         write_manifest(bad, rows)
         assert main(["train", "--role", "teacher", "--data", str(bad),
                      "--config", str(config_file)]) == 1
+
+    def test_evaluate_truncated_checkpoint_tensor_exits_1(self, tmp_path, capsys):
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,
+                                                       hidden_dim=16,
+                                                       num_layers=1,
+                                                       num_heads=2), 0),
+                               tmp_path / "ckpt")
+        victim = ckpt / "patch_proj__w.p3dt"
+        victim.write_bytes(victim.read_bytes()[:-3])
+        code = main(["evaluate", "--ckpt", str(ckpt),
+                     "--data", str(tmp_path / "manifest.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert victim.name in err and "Traceback" not in err
 
     def test_same_seed_reproduces_checkpoint_bytes(self, generated, tmp_path):
         config_file, manifest = generated

@@ -58,6 +58,24 @@ class TestTensorFormat:
         with pytest.raises(DataError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("keep,rank", [(10, None), (16, 200)])
+    def test_truncated_dims_header_rejected(self, tmp_path, keep, rank):
+        path = tmp_path / "t.p3dt"
+        save_tensor(path, np.ones((4, 4), dtype=np.float32))
+        raw = bytearray(path.read_bytes()[:keep])
+        if rank is not None:
+            raw[6] = rank  # a bogus rank whose dims run past the file
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="too short"):
+            load_tensor(path)
+
+    def test_payload_cut_mid_element_rejected(self, tmp_path):
+        path = tmp_path / "t.p3dt"
+        save_tensor(path, np.ones((4, 4), dtype=np.float64))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(DataError, match="payload"):
+            load_tensor(path)
+
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(DataError):
             save_tensor(tmp_path / "t.p3dt", np.ones(3, dtype=np.int64))

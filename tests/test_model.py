@@ -111,6 +111,7 @@ class TestEncoder:
         with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
             encoder_forward(tokens, params)
         assert "layer 1" in str(err.value)
+        assert "linear" in str(err.value)
 
 
 class TestAUCrossAttention:

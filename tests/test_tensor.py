@@ -89,6 +89,72 @@ class TestLayerNorm:
             layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
+def _layer_norm_primitives(a, gamma, beta, eps=1e-5):
+    """The seven-node composition layer_norm must reproduce bit for bit."""
+    mu = T.tmean(a, axis=-1, keepdims=True)
+    centered = T.sub(a, mu)
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv_std = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv_std), gamma), beta)
+
+
+class TestFusedOps:
+    def test_forwards_bit_identical_to_primitive_compositions(self):
+        rng = np.random.default_rng(11)
+        for shape in [(7, 16), (3, 5, 16), (2, 3, 4, 16)]:
+            x = Tensor(rng.normal(size=shape) * rng.uniform(0.1, 10.0))
+            w, b = Tensor(rng.normal(size=(16, 9))), Tensor(rng.normal(size=9))
+            assert np.array_equal(T.linear(x, w, b).data,
+                                  T.add(T.matmul(x, w), b).data)
+            gamma = Tensor(rng.random(16) + 0.5)
+            beta = Tensor(rng.normal(size=16))
+            assert np.array_equal(layer_norm(x, gamma, beta).data,
+                                  _layer_norm_primitives(x, gamma, beta).data)
+
+    def test_linear_shape_errors(self):
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            T.linear(x, Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+        with pytest.raises(DimensionError):
+            T.linear(x, Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5))
+        T.tsum(T.linear(x, w, b)).backward()
+        assert x.grad is None and b.grad is None
+        assert np.allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None])
+        q = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        T.tsum(matmul(q, Tensor(rng.normal(size=(2, 4, 3))))).backward()
+        assert q.grad.shape == (6, 4)
+
+    def test_non_finite_output_names_the_op(self):
+        x = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            T.linear(x, Tensor(np.full((2, 2), 1e308)), Tensor(np.zeros(2)))
+        assert str(err.value).startswith("linear: non-finite")
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            layer_norm(Tensor([[1e200, -1e200]]), Tensor(np.ones(2)),
+                       Tensor(np.zeros(2)))
+        assert str(err.value).startswith("layer_norm: non-finite")
+
+
+class TestAssign:
+    def test_replaces_values_and_clears_gradient(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        T.tsum(w * 3.0).backward()
+        w.assign(np.array([5.0, 6.0]))
+        assert np.array_equal(w.data, [5.0, 6.0]) and w.grad is None
+
+    def test_rejects_non_finite_values(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(NumericError):
+            w.assign(np.array([np.inf, 0.0]))
+        assert np.array_equal(w.data, [1.0, 2.0])
+
+
 class TestActivations:
     def test_relu_definition(self):
         out = relu(Tensor([-2.0, 3.0]))

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from painforge.errors import ConfigError, DataError
+from painforge import training
+from painforge.errors import ConfigError, DataError, NumericError
 from painforge.facesynth.dataset import DatasetSpec, build_dataset, read_rows
 from painforge.model import ModelConfig, init_params, load_checkpoint
 from painforge.tensor import Tensor
@@ -114,6 +115,21 @@ class TestComposeLoss:
             LossWeights(temperature=0.0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_val_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError):
+            TrainConfig(val_fraction=fraction)
+
+    @pytest.mark.parametrize("decay", [-1.0, float("nan")])
+    def test_negative_weight_decay_rejected(self, decay):
+        with pytest.raises(ConfigError):
+            TrainConfig(weight_decay=decay)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(val_fraction=0.0, weight_decay=0.0)
+
+
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
     out = tmp_path_factory.mktemp("train_data")
@@ -208,6 +224,56 @@ class TestTrainStudent:
                    if not np.array_equal(trained.tensors[name].data,
                                          init.tensors[name].data)]
         assert changed
+
+    def test_frozen_step_gives_backbone_no_gradients(self, small_data, tmp_path,
+                                                     monkeypatch):
+        _, manifest = small_data
+        model_params, updated = [], []
+        real_forward, real_step = training.forward, training.adamw_step
+
+        def spy_forward(images, params, *args, **kwargs):
+            model_params.append(params)
+            return real_forward(images, params, *args, **kwargs)
+
+        def spy_step(arrays, grads, *args, **kwargs):
+            params = model_params[-1]
+            updated.append((sorted(arrays), sorted(grads),
+                            [params.tensors[n].grad is None
+                             for n in params.backbone_names()]))
+            return real_step(arrays, grads, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", spy_forward)
+        monkeypatch.setattr(training, "adamw_step", spy_step)
+        config = TrainConfig(epochs=2, freeze_epochs=1, batch_size=8, seed=1,
+                             val_fraction=0.0)
+        train_student(manifest, tmp_path, model_config=MODEL32, train_config=config)
+
+        params = model_params[0]
+        heads, everything = sorted(params.head_names()), sorted(params.tensors)
+        steps_per_epoch = len(updated) // 2
+        assert steps_per_epoch >= 1
+        for arrays, grads, backbone_grad_is_none in updated[:steps_per_epoch]:
+            assert arrays == grads == heads
+            assert all(backbone_grad_is_none)
+        for arrays, grads, _ in updated[steps_per_epoch:]:
+            assert arrays == grads == everything
+
+    def test_non_finite_update_raises_at_that_step(self, small_data, tmp_path,
+                                                   monkeypatch):
+        _, manifest = small_data
+        steps = []
+
+        def overflowing_step(arrays, grads, *args, **kwargs):
+            steps.append(1)
+            return {n: np.full_like(v, np.inf) for n, v in arrays.items()}
+
+        monkeypatch.setattr(training, "adamw_step", overflowing_step)
+        config = TrainConfig(epochs=2, freeze_epochs=0, batch_size=8, seed=1,
+                             val_fraction=0.0)
+        with pytest.raises(NumericError):
+            train_student(manifest, tmp_path, model_config=MODEL32,
+                          train_config=config)
+        assert len(steps) == 1
 
     def test_zero_distill_weights_match_supervised_run_exactly(self, small_data,
                                                                tmp_path):
