@@ -9,15 +9,14 @@ from collections import Counter
 from pathlib import Path
 
 from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
-                                         demographic_summary, load_sample,
-                                         read_rows)
-from painforge.fileio import file_sha256
+                                         demographic_summary, load_sample)
+from painforge.fileio import file_sha256, read_manifest
 
 out = Path("demo_out/dataset")
 spec = DatasetSpec(identities=12, expressions_per_identity=3,
                    views=(-30.0, 0.0, 30.0), resolution=64, seed=7)
 manifest = build_dataset(spec, out)
-rows = read_rows(manifest)
+rows = read_manifest(manifest)
 
 print(f"frames: {len(rows)} (expected {spec.frames_total})")
 print(f"heatmaps: {len({r['heatmap_path'] for r in rows if r['heatmap_path']})} "

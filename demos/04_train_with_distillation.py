@@ -8,10 +8,11 @@ score distributions, AU predictions, and CLS feature alignment.
 from pathlib import Path
 
 from painforge.evaluation import evaluate_model
-from painforge.facesynth.dataset import DatasetSpec, build_dataset, read_rows
-from painforge.fileio import write_manifest
+from painforge.facesynth.dataset import DatasetSpec, build_dataset
+from painforge.fileio import read_manifest, write_manifest
+from painforge.metrics import subject_holdout
 from painforge.model import ModelConfig
-from painforge.rng import STREAM_SPLIT, keyed_rng
+from painforge.rng import STREAM_SPLIT
 from painforge.training import TrainConfig, train_student, train_teacher
 
 out = Path("demo_out/training")
@@ -20,10 +21,9 @@ spec = DatasetSpec(identities=64, expressions_per_identity=4, views=(0.0,),
 manifest = build_dataset(spec, out / "data")
 
 # identity-disjoint train/test split
-rows = read_rows(manifest)
-subjects = sorted({r["split_subject_id"] for r in rows})
-order = [subjects[i] for i in keyed_rng(5, STREAM_SPLIT).permutation(len(subjects))]
-test_subjects = set(order[:13])
+rows = read_manifest(manifest)
+test_subjects = subject_holdout([r["split_subject_id"] for r in rows], 0.2,
+                                (5, STREAM_SPLIT))
 train_manifest = out / "data" / "train.jsonl"
 test_manifest = out / "data" / "test.jsonl"
 write_manifest(train_manifest, [r for r in rows

@@ -7,14 +7,14 @@ from .facesynth import (AUVector, DemographicProfile, FaceMesh, apply_au_rig,
                         make_identity_mesh, pspi_score, render_depth,
                         render_heatmap, render_rgb, sample_au_config,
                         sample_demographics)
-from .facesynth.dataset import DatasetSpec, Sample, build_dataset
+from .facesynth.dataset import DatasetSpec, Sample, build_dataset, pair_modalities
 from .metrics import (FoldPlan, PredictionSet, binary_auroc, f1_binary,
                       macro_auroc, subject_kfold, tolerance_accuracy)
 from .model import ModelConfig, ModelOutput, ModelParams, forward, init_params
 from .optim import OptimState, adamw_step, cosine_lr
 from .tensor import Tensor, gradcheck
 from .training import (LossWeights, TrainConfig, TrainReport, compose_loss,
-                       pair_modalities, train_student, train_teacher)
+                       train_student, train_teacher)
 
 __version__ = "0.1.0"
 

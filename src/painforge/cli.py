@@ -14,15 +14,22 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .errors import ConfigError, PainforgeError
 from .evaluation import evaluate_model
-from .facesynth.dataset import build_dataset, demographic_summary, read_rows
-from .fileio import file_sha256, write_manifest
-from .rng import STREAM_SPLIT, keyed_rng
+from .facesynth.dataset import build_dataset, demographic_summary
+from .fileio import file_sha256, read_manifest, write_manifest
+from .metrics import subject_holdout
+from .rng import STREAM_SPLIT
 from .training import train_student, train_teacher
 
 TABLE_ROWS = (("Baseline", "baseline"),
               ("+AU-Query", "auquery"),
               ("+AU-Query+Heatmap", "distilled"),
               ("Teacher", "teacher"))
+# The pipeline's training stages, in order: (stage, model role, whether it
+# distils from the teacher stage's checkpoint).
+PIPELINE_STAGES = (("teacher", "teacher", False),
+                   ("baseline", "baseline", False),
+                   ("auquery", "student", False),
+                   ("distilled", "student", True))
 
 
 class RunLedger:
@@ -56,34 +63,44 @@ def _print_summary(rows) -> None:
         print(f"  {category}: {entries}")
 
 
-def cmd_generate(args) -> int:
-    config = load_config(args.config).override(**{
-        "seed": args.seed, "out": args.out})
-    out_root = config.out_root
-    data_dir = out_root / "data"
+def _generate_stage(config: RunConfig, resume: bool):
+    """Build the dataset under <out>/data, print its summary and log it."""
     t0 = time.perf_counter()
-    manifest = build_dataset(config.dataset_spec(), data_dir, resume=args.resume)
-    rows = read_rows(manifest)
+    manifest = build_dataset(config.dataset_spec(), config.out_root / "data",
+                             resume=resume)
+    rows = read_manifest(manifest)
     _print_summary(rows)
+    RunLedger(config.out_root).append("generate", config.hash(), config.seed, None,
+                                      [manifest], time.perf_counter() - t0)
+    return manifest, rows
+
+
+def cmd_generate(args) -> int:
+    config = load_config(args.config).override(seed=args.seed, out=args.out)
+    manifest, _ = _generate_stage(config, resume=args.resume)
     print(f"manifest: {manifest}")
-    RunLedger(out_root).append("generate", config.hash(), config.seed, None,
-                               [manifest], time.perf_counter() - t0)
     return 0
 
 
-def _train_dispatch(role: str, config: RunConfig, manifest: Path,
-                    teacher_ckpt, out_dir: Path, seed: int):
-    train_config = config.train_config(seed=seed)
-    weights = config.loss_weights()
+def _train_stage(config: RunConfig, stage: str, role: str, manifest: Path,
+                 teacher_ckpt=None):
+    """Train one model role into <out>/train_<stage> and log it."""
+    out_dir = config.out_root / f"train_{stage}"
+    t0 = time.perf_counter()
     if role == "teacher":
-        return train_teacher(manifest, out_dir,
-                             model_config=config.model_config(in_channels=1),
-                             train_config=train_config, loss_weights=weights)
-    use_queries = role != "baseline"
-    return train_student(manifest, out_dir, teacher_checkpoint=teacher_ckpt,
-                         model_config=config.model_config(
-                             in_channels=3, use_au_queries=use_queries),
-                         train_config=train_config, loss_weights=weights)
+        ckpt, report = train_teacher(
+            manifest, out_dir, model_config=config.model_config(in_channels=1),
+            train_config=config.train_config(), loss_weights=config.loss_weights())
+    else:
+        ckpt, report = train_student(
+            manifest, out_dir, teacher_checkpoint=teacher_ckpt,
+            model_config=config.model_config(in_channels=3,
+                                             use_au_queries=role != "baseline"),
+            train_config=config.train_config(), loss_weights=config.loss_weights())
+    RunLedger(config.out_root).append(
+        f"train_{stage}", config.hash(), config.seed, str(manifest),
+        [str(ckpt), str(out_dir / "train_report.jsonl")], time.perf_counter() - t0)
+    return ckpt, report
 
 
 def cmd_train(args) -> int:
@@ -91,21 +108,13 @@ def cmd_train(args) -> int:
         raise ConfigError("--role baseline does not take --teacher")
     if args.role == "teacher" and args.teacher:
         raise ConfigError("--role teacher does not take --teacher")
-    config = load_config(args.config).override(**{
-        "seed": args.seed, "out": args.out})
-    out_dir = config.out_root / f"train_{args.role}"
-    manifest = Path(args.data)
-    t0 = time.perf_counter()
-    ckpt, report = _train_dispatch(args.role, config, manifest, args.teacher,
-                                   out_dir, config.seed)
+    config = load_config(args.config).override(seed=args.seed, out=args.out)
+    ckpt, report = _train_stage(config, args.role, args.role, Path(args.data),
+                                args.teacher)
     print(f"checkpoint: {ckpt}")
     if report.best_val_macro_auroc is not None:
         print(f"best validation macro AUROC: {report.best_val_macro_auroc:.4f} "
               f"(epoch {report.best_epoch})")
-    RunLedger(config.out_root).append(
-        f"train_{args.role}", config.hash(), config.seed, str(manifest),
-        [str(ckpt), str(out_dir / 'train_report.jsonl')],
-        time.perf_counter() - t0)
     return 0
 
 
@@ -143,49 +152,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _subject_holdout_split(rows, seed: int, fraction: float = 0.2):
-    subjects = sorted({r["split_subject_id"] for r in rows})
-    rng = keyed_rng(seed, STREAM_SPLIT, 999)
-    order = [subjects[i] for i in rng.permutation(len(subjects))]
-    n_test = min(len(subjects) - 1, max(1, round(fraction * len(subjects))))
-    test = set(order[:n_test])
-    return ([r for r in rows if r["split_subject_id"] not in test],
-            [r for r in rows if r["split_subject_id"] in test])
-
-
 def cmd_pipeline(args) -> int:
-    config = load_config(args.config).override(**{"out": args.out})
+    config = load_config(args.config).override(out=args.out)
     out_root = config.out_root
-    ledger = RunLedger(out_root)
     stage = "generate"
     try:
-        t0 = time.perf_counter()
-        manifest = build_dataset(config.dataset_spec(), out_root / "data",
-                                 resume=True)
-        rows = read_rows(manifest)
-        _print_summary(rows)
-        ledger.append("generate", config.hash(), config.seed, None, [manifest],
-                      time.perf_counter() - t0)
+        _, rows = _generate_stage(config, resume=True)
 
-        train_rows, test_rows = _subject_holdout_split(rows, config.seed)
+        # Test subjects come from their own keyed stream, independent of the
+        # training runs' validation split.
+        test = subject_holdout([r["split_subject_id"] for r in rows], 0.2,
+                               (config.seed, STREAM_SPLIT, 999))
         train_manifest = out_root / "data" / "manifest_train.jsonl"
         test_manifest = out_root / "data" / "manifest_test.jsonl"
-        write_manifest(train_manifest, train_rows)
-        write_manifest(test_manifest, test_rows)
+        write_manifest(train_manifest,
+                       [r for r in rows if r["split_subject_id"] not in test])
+        write_manifest(test_manifest, [r for r in rows if r["split_subject_id"] in test])
 
         checkpoints = {}
-        for stage_name in ("teacher", "baseline", "auquery", "distilled"):
-            stage = f"train_{stage_name}"
-            t0 = time.perf_counter()
-            teacher_ckpt = checkpoints["teacher"] if stage_name == "distilled" else None
-            role = {"teacher": "teacher", "baseline": "baseline",
-                    "auquery": "student", "distilled": "student"}[stage_name]
-            ckpt, report = _train_dispatch(role, config, train_manifest,
-                                           teacher_ckpt, out_root / stage,
-                                           config.seed)
-            checkpoints[stage_name] = ckpt
-            ledger.append(stage, config.hash(), config.seed, str(train_manifest),
-                          [str(ckpt)], time.perf_counter() - t0)
+        for name, role, distils in PIPELINE_STAGES:
+            stage = f"train_{name}"
+            checkpoints[name], _ = _train_stage(
+                config, name, role, train_manifest,
+                checkpoints["teacher"] if distils else None)
             print(f"{stage} done")
 
         stage = "evaluate"
@@ -200,8 +189,9 @@ def cmd_pipeline(args) -> int:
         final_path.write_text(json.dumps(final, sort_keys=True, indent=1) + "\n")
         _print_metrics_table(table)
         print(f"final report: {final_path}")
-        ledger.append(stage, config.hash(), config.seed, str(test_manifest),
-                      [str(final_path)], time.perf_counter() - t0)
+        RunLedger(out_root).append(stage, config.hash(), config.seed,
+                                   str(test_manifest), [str(final_path)],
+                                   time.perf_counter() - t0)
         return 0
     except PainforgeError as exc:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)

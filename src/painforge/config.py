@@ -7,15 +7,24 @@ order and whitespace never change it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .facesynth.au import NUM_PSPI_CLASSES
 from .facesynth.dataset import DEFAULT_VIEWS, DatasetSpec
 from .model import ModelConfig
 from .training import LossWeights, TrainConfig
 
+# The train.<field> and loss.<field> keys with their dataclass defaults; the
+# run seed is its own key and the Adam betas are not configurable.
+_TRAIN_FIELDS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+                 if f.name not in ("seed", "betas")}
+_LOSS_FIELDS = {f.name: f.default for f in dataclasses.fields(LossWeights)}
+
+# Each key's default also fixes its type: str, int or float.
 _DEFAULTS = {
     "seed": 0,
     "out": "runs/default",
@@ -30,30 +39,15 @@ _DEFAULTS = {
     "model.num_heads": 4,
     "model.mlp_ratio": 4.0,
     "model.dropout": 0.1,
+    **{f"train.{name}": value for name, value in _TRAIN_FIELDS.items()},
     # Desk-scale defaults: models here train from scratch, so the learning
     # rates sit well above the fine-tuning rates used with a pretrained
     # backbone (TrainConfig's own defaults) while keeping the 10x head ratio.
     "train.epochs": 30,
-    "train.freeze_epochs": 5,
     "train.lr_backbone": 3e-4,
     "train.lr_heads": 3e-3,
-    "train.floor_fraction": 0.01,
-    "train.batch_size": 32,
-    "train.weight_decay": 0.01,
-    "train.val_fraction": 0.2,
-    "loss.pspi": 1.0,
-    "loss.au": 1.0,
-    "loss.pspi_distill": 0.1,
-    "loss.au_distill": 0.3,
-    "loss.feature_distill": 0.5,
-    "loss.temperature": 4.0,
+    **{f"loss.{name}": value for name, value in _LOSS_FIELDS.items()},
 }
-
-_INT_KEYS = {"seed", "dataset.identities", "dataset.expressions",
-             "dataset.resolution", "model.hidden_dim", "model.patch_size",
-             "model.num_layers", "model.num_heads", "train.epochs",
-             "train.freeze_epochs", "train.batch_size"}
-_STR_KEYS = {"out", "dataset.views", "dataset.pspi_distribution"}
 
 
 @dataclass(frozen=True)
@@ -67,16 +61,12 @@ class RunConfig:
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key: {key!r}")
             try:
-                if key in _STR_KEYS:
-                    merged[key] = str(raw).strip()
-                elif key in _INT_KEYS:
-                    merged[key] = int(str(raw).strip())
-                else:
-                    merged[key] = float(str(raw).strip())
+                merged[key] = type(_DEFAULTS[key])(str(raw).strip())
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         config = cls(values=tuple(sorted(merged.items())))
-        # Range-check the training and loss values now, before any stage runs.
+        # Range-check every stage's values now, before any stage runs.
+        config.dataset_spec()
         config.train_config()
         config.loss_weights()
         return config
@@ -94,9 +84,6 @@ class RunConfig:
                 merged[key] = value
         return RunConfig.from_mapping(merged)
 
-    def canonical_text(self) -> str:
-        return "".join(f"{k} = {v}\n" for k, v in self.values)
-
     def hash(self) -> str:
         # the output root determines where artifacts land, not what they are,
         # so it stays out of the hash; a rerun elsewhere is the same run
@@ -113,17 +100,21 @@ class RunConfig:
     def out_root(self) -> Path:
         return Path(self.get("out"))
 
+    def _floats(self, key: str) -> tuple:
+        raw = self.get(key)
+        try:
+            return tuple(float(x) for x in raw.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+
     def dataset_spec(self) -> DatasetSpec:
-        views = tuple(float(v) for v in str(self.get("dataset.views")).split(","))
-        dist_raw = str(self.get("dataset.pspi_distribution"))
-        if dist_raw == "uniform":
-            dist = tuple([1.0 / 17] * 17)
+        if self.get("dataset.pspi_distribution") == "uniform":
+            dist = tuple([1.0 / NUM_PSPI_CLASSES] * NUM_PSPI_CLASSES)
         else:
-            parts = [float(x) for x in dist_raw.split(",")]
-            dist = tuple(parts)
+            dist = self._floats("dataset.pspi_distribution")
         return DatasetSpec(identities=self.get("dataset.identities"),
                            expressions_per_identity=self.get("dataset.expressions"),
-                           views=views,
+                           views=self._floats("dataset.views"),
                            resolution=self.get("dataset.resolution"),
                            pspi_distribution=dist,
                            seed=self.seed)
@@ -140,24 +131,12 @@ class RunConfig:
                            in_channels=in_channels,
                            use_au_queries=use_au_queries)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(epochs=self.get("train.epochs"),
-                           freeze_epochs=self.get("train.freeze_epochs"),
-                           lr_backbone=self.get("train.lr_backbone"),
-                           lr_heads=self.get("train.lr_heads"),
-                           floor_fraction=self.get("train.floor_fraction"),
-                           batch_size=self.get("train.batch_size"),
-                           seed=self.seed if seed is None else seed,
-                           weight_decay=self.get("train.weight_decay"),
-                           val_fraction=self.get("train.val_fraction"))
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(seed=self.seed,
+                           **{f: self.get(f"train.{f}") for f in _TRAIN_FIELDS})
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(pspi=self.get("loss.pspi"),
-                           au=self.get("loss.au"),
-                           pspi_distill=self.get("loss.pspi_distill"),
-                           au_distill=self.get("loss.au_distill"),
-                           feature_distill=self.get("loss.feature_distill"),
-                           temperature=self.get("loss.temperature"))
+        return LossWeights(**{f: self.get(f"loss.{f}") for f in _LOSS_FIELDS})
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -4,56 +4,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigError
 from .fileio import read_manifest
-from .facesynth.dataset import load_heatmap, load_rgb
+from .facesynth.dataset import load_model_inputs
 from .metrics import FoldPlan, PredictionSet, evaluation_report, subject_kfold
 from .model import load_checkpoint, predict
 
 
-def _rows_for_modality(rows: list[dict], in_channels: int) -> list[dict]:
-    if in_channels == 3:
-        return rows
-    # Heatmap models see one sample per expression, frontal heatmaps only.
-    seen = set()
-    out = []
-    for row in rows:
-        if row["expression_id"] is None or not row["heatmap_path"]:
-            continue
-        key = (row["identity_id"], row["expression_id"])
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def prediction_set_from_manifest(params, manifest_path,
                                  batch_size: int = 64) -> PredictionSet:
-    """Run eval-mode inference over every applicable manifest row."""
+    """Run eval-mode inference over every manifest row the model applies to."""
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
-    rows = _rows_for_modality(read_manifest(manifest_path),
-                              params.config.in_channels)
-    if not rows:
-        raise ConfigError("manifest has no rows usable by this checkpoint")
-    if params.config.in_channels == 1:
-        inputs = np.stack([load_heatmap(root, r, params.config.image_size)[..., None]
-                           for r in rows])
-    else:
-        inputs = np.stack([load_rgb(root, r) for r in rows])
-    if inputs.shape[1] != params.config.image_size:
-        raise ConfigError(
-            f"data resolution {inputs.shape[1]} does not match checkpoint "
-            f"resolution {params.config.image_size}")
+    inputs, pspi, au, subjects = load_model_inputs(
+        manifest_path.parent, read_manifest(manifest_path), params.config)
     probs, au_pred, _ = predict(inputs, params, batch_size)
-    return PredictionSet(
-        pspi_probs=probs,
-        au_pred=au_pred,
-        true_pspi=np.array([r["pspi"] for r in rows], dtype=np.int64),
-        true_au=np.array([r["au"] for r in rows], dtype=np.float64),
-        subject_id=np.array([r["split_subject_id"] for r in rows], dtype=np.int64))
+    return PredictionSet(pspi_probs=probs, au_pred=au_pred, true_pspi=pspi,
+                         true_au=au, subject_id=subjects)
 
 
 def evaluate_model(checkpoint_dir, manifest_path, fold_plan: FoldPlan | None = None,

@@ -12,17 +12,21 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..fileio import load_tensor, read_manifest, save_tensor, write_manifest
+from ..fileio import load_tensor, save_tensor, write_manifest
 from ..rng import STREAM_PSPI_TARGET, derive_seed, keyed_rng
 from .au import NUM_PSPI_CLASSES, AUVector, pspi_score, sample_au_config
 from .demographics import (DemographicProfile, reference_config,
                            sample_demographics, scale_config)
-from .mesh import FaceMesh, apply_au_rig, make_identity_mesh
+from .mesh import apply_au_rig, make_identity_mesh
 from .render import render_heatmap, render_rgb
+
+if TYPE_CHECKING:
+    from ..model import ModelConfig
 
 DEFAULT_VIEWS = (-30.0, 0.0, 30.0)
 HEATMAP_YAW = 0.0  # heatmaps are rendered at the frontal view only
@@ -42,6 +46,8 @@ class DatasetSpec:
             raise ConfigError("identity and expression counts must be >= 1")
         if len(self.views) < 1:
             raise ConfigError("need at least one camera view")
+        if self.resolution < 1:
+            raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
         dist = np.asarray(self.pspi_distribution, dtype=float)
         if dist.shape != (NUM_PSPI_CLASSES,):
             raise ConfigError(
@@ -82,34 +88,19 @@ def _expression_plan(seed: int, identity: int, count: int,
             for e, t in enumerate(targets)]
 
 
-def _identity_paths(spec: DatasetSpec, identity: int) -> list[str]:
-    paths = []
-    for view in range(len(spec.views)):
-        paths.append(f"frames/id{identity:05d}_neutral_v{view}.p3dt")
-    for e in range(spec.expressions_per_identity):
-        for view in range(len(spec.views)):
-            paths.append(f"frames/id{identity:05d}_x{e:03d}_v{view}.p3dt")
-        paths.append(f"heatmaps/id{identity:05d}_x{e:03d}.p3dt")
-    return paths
-
-
 def _identity_rows(spec: DatasetSpec, identity: int,
                    profile: DemographicProfile, plan: list[AUVector]) -> list[dict]:
-    zero = AUVector()
-    rows = []
-
-    def row(expression_id, view_id, au, heatmap_path):
-        if expression_id is None:
-            rgb = f"frames/id{identity:05d}_neutral_v{view_id}.p3dt"
-        else:
-            rgb = f"frames/id{identity:05d}_x{expression_id:03d}_v{view_id}.p3dt"
+    """Manifest rows of one identity; the only place that names its files."""
+    def row(expression_id, view_id, au):
+        stem = f"id{identity:05d}_" + (
+            "neutral" if expression_id is None else f"x{expression_id:03d}")
         return {
             "identity_id": identity,
             "expression_id": expression_id,
             "view_id": view_id,
             "camera_yaw": float(spec.views[view_id]),
-            "rgb_path": rgb,
-            "heatmap_path": heatmap_path,
+            "rgb_path": f"frames/{stem}_v{view_id}.p3dt",
+            "heatmap_path": None if expression_id is None else f"heatmaps/{stem}.p3dt",
             "au": [float(x) for x in au.as_array()],
             "pspi": pspi_score(au),
             "age_group": profile.age_group,
@@ -118,34 +109,29 @@ def _identity_rows(spec: DatasetSpec, identity: int,
             "split_subject_id": identity,
         }
 
-    for view in range(len(spec.views)):
-        rows.append(row(None, view, zero, None))
-    for e, au in enumerate(plan):
-        heatmap_path = f"heatmaps/id{identity:05d}_x{e:03d}.p3dt"
-        for view in range(len(spec.views)):
-            rows.append(row(e, view, au, heatmap_path))
-    return rows
+    expressions = [(None, AUVector())] + list(enumerate(plan))
+    return [row(e, view, au) for e, au in expressions
+            for view in range(len(spec.views))]
 
 
-def _render_identity(spec: DatasetSpec, identity: int,
-                     profile: DemographicProfile, plan: list[AUVector],
-                     out_dir: str) -> None:
+def _render_identity(spec: DatasetSpec, profile: DemographicProfile,
+                     plan: list[AUVector], rows: list[dict], out_dir: str) -> None:
+    """Render and write every file the identity's rows name.
+
+    Rows come grouped by expression, neutral first, so each expression is
+    rigged and its heatmap rendered once, at its first row.
+    """
     out = Path(out_dir)
     mesh = make_identity_mesh(profile)
-
-    def write_rgb(mesh_variant: FaceMesh, rel: str, yaw: float):
-        img = render_rgb(mesh_variant, profile, yaw, spec.resolution)
-        save_tensor(out / rel, img.astype(np.float32))
-
-    for view, yaw in enumerate(spec.views):
-        write_rgb(mesh, f"frames/id{identity:05d}_neutral_v{view}.p3dt", yaw)
-    for e, au in enumerate(plan):
-        rigged = apply_au_rig(mesh, au)
-        for view, yaw in enumerate(spec.views):
-            write_rgb(rigged, f"frames/id{identity:05d}_x{e:03d}_v{view}.p3dt", yaw)
-        heat = render_heatmap(mesh, rigged, HEATMAP_YAW, spec.resolution)
-        save_tensor(out / f"heatmaps/id{identity:05d}_x{e:03d}.p3dt",
-                    heat.astype(np.float32))
+    expression, posed = None, mesh
+    for row in rows:
+        if row["expression_id"] != expression:
+            expression = row["expression_id"]
+            posed = apply_au_rig(mesh, plan[expression])
+            heat = render_heatmap(mesh, posed, HEATMAP_YAW, spec.resolution)
+            save_tensor(out / row["heatmap_path"], heat.astype(np.float32))
+        img = render_rgb(posed, profile, spec.views[row["view_id"]], spec.resolution)
+        save_tensor(out / row["rgb_path"], img.astype(np.float32))
 
 
 def _render_identity_star(args) -> None:
@@ -178,12 +164,15 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
     plans = [_expression_plan(spec.seed, i, spec.expressions_per_identity,
                               spec.pspi_distribution)
              for i in range(spec.identities)]
+    rows = [_identity_rows(spec, i, profiles[i], plans[i])
+            for i in range(spec.identities)]
 
     pending = []
     for i in range(spec.identities):
-        if resume and all((out / p).exists() for p in _identity_paths(spec, i)):
+        files = [p for r in rows[i] for p in (r["rgb_path"], r["heatmap_path"]) if p]
+        if resume and all((out / p).exists() for p in files):
             continue
-        pending.append((spec, i, profiles[i], plans[i], str(out)))
+        pending.append((spec, profiles[i], plans[i], rows[i], str(out)))
 
     if workers is None:
         workers = int(os.environ.get("PAINFORGE_THREADS", "1"))
@@ -194,11 +183,8 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
         for task in pending:
             _render_identity_star(task)
 
-    rows = []
-    for i in range(spec.identities):
-        rows.extend(_identity_rows(spec, i, profiles[i], plans[i]))
     manifest_path = out / "manifest.jsonl"
-    write_manifest(manifest_path, rows)
+    write_manifest(manifest_path, [row for identity in rows for row in identity])
     return manifest_path
 
 
@@ -211,6 +197,58 @@ def load_heatmap(root, row: dict, resolution: int) -> np.ndarray:
     if row["heatmap_path"] is None:
         return np.zeros((resolution, resolution))
     return load_tensor(Path(root) / row["heatmap_path"]).astype(np.float64)
+
+
+def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
+    """Pair every RGB frame with its expression's frontal heatmap path.
+
+    Neutral frames pair with None, meaning an all-zero heatmap. A rigged frame
+    without a heatmap path is a corrupt manifest and raises DataError.
+    """
+    pairs = []
+    for row in rows:
+        if row["expression_id"] is None:
+            pairs.append((row, None))
+        elif row["heatmap_path"]:
+            pairs.append((row, row["heatmap_path"]))
+        else:
+            raise DataError(
+                "manifest row is missing its heatmap: identity "
+                f"{row['identity_id']}, expression {row['expression_id']}, "
+                f"view {row['view_id']}")
+    return pairs
+
+
+def load_model_inputs(root, rows: list[dict], config: ModelConfig):
+    """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
+
+    RGB models see every row. Heatmap models (one channel) see one frontal
+    heatmap per (identity, expression), first row in manifest order; neutral
+    rows have none. A rigged row without its heatmap is a DataError for both,
+    as is a manifest without heatmaps for a heatmap model. Images that do not
+    match the model's resolution are a ConfigError.
+    """
+    size = config.image_size
+    pairs = pair_modalities(rows)
+    if config.in_channels == 1:
+        first = {}
+        for row, heatmap in pairs:
+            if heatmap is not None:
+                first.setdefault((row["identity_id"], row["expression_id"]), row)
+        if not first:
+            raise DataError("manifest has no heatmap rows for a heatmap model")
+        rows = list(first.values())
+        inputs = np.stack([load_heatmap(root, r, size)[..., None] for r in rows])
+    else:
+        inputs = np.stack([load_rgb(root, r) for r in rows])
+    if inputs.shape[1:3] != (size, size):
+        raise ConfigError(
+            f"data resolution {inputs.shape[1]}x{inputs.shape[2]} does not "
+            f"match model config {size}x{size}")
+    return (inputs,
+            np.array([r["pspi"] for r in rows], dtype=np.int64),
+            np.array([r["au"] for r in rows], dtype=np.float64),
+            np.array([r["split_subject_id"] for r in rows], dtype=np.int64))
 
 
 def load_sample(root, row: dict) -> Sample:
@@ -241,7 +279,3 @@ def demographic_summary(rows: list[dict]) -> dict:
         summary["gender"][gender] = summary["gender"].get(gender, 0) + 1
     summary["total"] = len(by_identity)
     return summary
-
-
-def read_rows(manifest_path) -> list[dict]:
-    return read_manifest(manifest_path)

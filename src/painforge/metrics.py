@@ -129,15 +129,33 @@ def f1_binary(preds, labels) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
+def _shuffled_subjects(subject_ids, key: tuple) -> list:
+    """The distinct subjects, sorted, then permuted by the keyed stream."""
+    distinct = sorted(set(subject_ids))
+    return [distinct[i] for i in keyed_rng(*key).permutation(len(distinct))]
+
+
 def subject_kfold(subject_ids, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle of the distinct subjects, then a contiguous partition
     into k folds whose sizes differ by at most one."""
-    distinct = sorted(set(subject_ids))
-    if k < 1 or k > len(distinct):
-        raise ConfigError(f"cannot make {k} folds from {len(distinct)} subjects")
-    rng = keyed_rng(seed, STREAM_FOLD)
-    order = [distinct[i] for i in rng.permutation(len(distinct))]
+    order = _shuffled_subjects(subject_ids, (seed, STREAM_FOLD))
+    if k < 1 or k > len(order):
+        raise ConfigError(f"cannot make {k} folds from {len(order)} subjects")
     return FoldPlan(folds=[list(part) for part in np.array_split(order, k)])
+
+
+def subject_holdout(subject_ids, fraction: float, key: tuple) -> set:
+    """Subjects held out of an identity-disjoint split.
+
+    The first round(fraction * n) subjects of the keyed shuffle, at least one
+    and never all; nothing when fraction <= 0 or there are fewer than two.
+    Each caller passes its own RNG key, so different splits stay independent.
+    """
+    order = _shuffled_subjects(subject_ids, key)
+    if fraction <= 0 or len(order) < 2:
+        return set()
+    n_held = min(len(order) - 1, max(1, round(fraction * len(order))))
+    return set(order[:n_held])
 
 
 def best_f1_threshold(scores, labels) -> tuple[float, float]:

@@ -85,6 +85,11 @@ class ModelParams:
         for name, value in arrays.items():
             self.tensors[name] = Tensor(value, requires_grad=True)
 
+    def detach(self) -> "ModelParams":
+        """The same values as constants, so a forward pass builds no graph."""
+        return ModelParams(config=self.config,
+                           tensors={n: t.detach() for n, t in self.tensors.items()})
+
 
 @dataclass
 class ModelOutput:
@@ -333,9 +338,10 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
 
 def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
     """Eval-mode inference returning numpy (pspi_probs, au_pred, cls_features)."""
+    constant = params.detach()
     probs, aus, features = [], [], []
     for lo in range(0, images.shape[0], batch_size):
-        out = forward(images[lo:lo + batch_size], params, training=False)
+        out = forward(images[lo:lo + batch_size], constant, training=False)
         probs.append(T.softmax(out.pspi_logits, axis=-1).data)
         aus.append(out.au_pred.data)
         features.append(out.cls_feature.data)

@@ -18,13 +18,12 @@ class OptimState:
     "heads"); parameters absent from the map fall into the "default" group.
     ``param_steps`` tracks how many updates each parameter has received so
     bias correction stays correct for parameters that spend early epochs
-    frozen. ``step`` counts calls to :func:`adamw_step` and strictly increases.
+    frozen.
     """
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     param_steps: dict = field(default_factory=dict)
-    step: int = 0
     group_of: dict = field(default_factory=dict)
     weight_decay: float = 0.01
 
@@ -90,7 +89,6 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr,
         updated = theta - step_lr * wd * theta
         updated -= step
         out[name] = updated
-    state.step += 1
     return out
 
 

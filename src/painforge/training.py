@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, DimensionError, MetricError
+from .errors import ConfigError, DimensionError, MetricError
 from .fileio import dump_json_line, read_manifest
-from .facesynth.dataset import load_heatmap, load_rgb
-from .metrics import macro_auroc
+from .facesynth.dataset import load_heatmap, load_model_inputs, pair_modalities
+from .metrics import macro_auroc, subject_holdout
 from .model import (ModelConfig, ModelOutput, ModelParams, forward,
                     init_params, load_checkpoint, predict, save_checkpoint)
 from .optim import adamw_step, cosine_lr, init_optim_state
@@ -175,84 +175,22 @@ def compose_loss(student_out: ModelOutput, teacher_out, labels: dict,
     return total, terms
 
 
-def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
-    """Pair every RGB frame with its expression's frontal heatmap path.
-
-    Neutral frames pair with None, meaning an all-zero heatmap. A rigged frame
-    without a heatmap path is a corrupt manifest and raises DataError.
-    """
-    pairs = []
-    for row in rows:
-        if row["expression_id"] is None:
-            pairs.append((row, None))
-        elif row["heatmap_path"]:
-            pairs.append((row, row["heatmap_path"]))
-        else:
-            raise DataError(
-                "manifest row is missing its heatmap: identity "
-                f"{row['identity_id']}, expression {row['expression_id']}, "
-                f"view {row['view_id']}")
-    return pairs
-
-
-def _teacher_training_rows(rows: list[dict]) -> list[dict]:
-    """One row per (identity, expression) that has a heatmap, manifest order."""
-    seen = set()
-    out = []
-    for row in rows:
-        if row["expression_id"] is None:
-            continue
-        if not row["heatmap_path"]:
-            raise DataError(
-                f"rigged row lacks a heatmap path: identity {row['identity_id']}, "
-                f"expression {row['expression_id']}")
-        key = (row["identity_id"], row["expression_id"])
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    if not out:
-        raise DataError("manifest has no heatmap rows to train a teacher on")
-    return out
-
-
-def _labels_of(rows: list[dict]):
-    pspi = np.array([r["pspi"] for r in rows], dtype=np.int64)
-    au = np.array([r["au"] for r in rows], dtype=np.float64)
-    subjects = np.array([r["split_subject_id"] for r in rows], dtype=np.int64)
-    return pspi, au, subjects
-
-
-def _check_resolution(inputs: np.ndarray, config: ModelConfig) -> None:
-    if inputs.shape[1] != config.image_size or inputs.shape[2] != config.image_size:
-        raise ConfigError(
-            f"data resolution {inputs.shape[1]}x{inputs.shape[2]} does not "
-            f"match model config {config.image_size}x{config.image_size}")
-
-
-def _identity_split(subjects: np.ndarray, fraction: float, seed: int):
-    """Deterministic identity-disjoint train/validation index split."""
-    distinct = sorted(set(subjects.tolist()))
-    if fraction <= 0 or len(distinct) < 2:
-        return np.arange(subjects.size), np.array([], dtype=np.int64)
-    rng = keyed_rng(seed, STREAM_SPLIT)
-    order = [distinct[i] for i in rng.permutation(len(distinct))]
-    n_val = min(len(distinct) - 1, max(1, round(fraction * len(distinct))))
-    val_subjects = set(order[:n_val])
-    val_mask = np.isin(subjects, list(val_subjects))
-    return np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
-
-
-def _train_loop(role: str, inputs: np.ndarray, pspi: np.ndarray, au: np.ndarray,
-                subjects: np.ndarray, teacher_arrays, model_config: ModelConfig,
-                config: TrainConfig, weights: LossWeights, out_dir: Path):
+def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfig,
+                config: TrainConfig, weights: LossWeights, out_dir):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
+    inputs, pspi, au, subjects = data
     params = init_params(model_config, config.seed)
     group_of = {n: "backbone" for n in params.backbone_names()}
     group_of.update({n: "heads" for n in params.head_names()})
     state = init_optim_state({n: t.data for n, t in params.tensors.items()},
                              group_of, config.weight_decay)
 
-    train_idx, val_idx = _identity_split(subjects, config.val_fraction, config.seed)
+    val_subjects = subject_holdout(subjects.tolist(), config.val_fraction,
+                                   (config.seed, STREAM_SPLIT))
+    val_mask = np.isin(subjects, list(val_subjects))
+    train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
     report = TrainReport(role=role, seed=config.seed,
                          train_config=config.to_dict(),
                          loss_weights=weights.to_dict(),
@@ -334,50 +272,35 @@ def _train_loop(role: str, inputs: np.ndarray, pspi: np.ndarray, au: np.ndarray,
     return ckpt_dir, report
 
 
-def _load_stack(loader, rows, root) -> np.ndarray:
-    return np.stack([loader(root, row) for row in rows])
-
-
 def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = None,
                   train_config: TrainConfig | None = None,
                   loss_weights: LossWeights | None = None):
     """Supervised training on frontal heatmaps, one sample per expression."""
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
-    rows = _teacher_training_rows(read_manifest(manifest_path))
-    config = train_config or TrainConfig()
-    weights = loss_weights or LossWeights()
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=1)
-
-    inputs = np.stack([load_heatmap(root, row, model_config.image_size)[..., None]
-                       for row in rows])
-    _check_resolution(inputs, model_config)
-    pspi, au, subjects = _labels_of(rows)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _train_loop("teacher", inputs, pspi, au, subjects, None,
-                       model_config, config, weights, out)
+    data = load_model_inputs(manifest_path.parent, read_manifest(manifest_path),
+                             model_config)
+    return _train_loop("teacher", data, None, model_config,
+                       train_config or TrainConfig(), loss_weights or LossWeights(),
+                       out_dir)
 
 
 def _precompute_teacher_signals(pairs, root, teacher: ModelParams,
                                 batch_size: int):
-    """Teacher outputs per unique heatmap, gathered back per student frame."""
+    """Teacher outputs per unique heatmap, gathered back per student frame.
+
+    Neutral frames share the key None, whose heatmap is all zeros.
+    """
     resolution = teacher.config.image_size
-    unique_paths = []
     index_of = {}
     for _, heatmap_path in pairs:
-        key = heatmap_path or "__zero__"
-        if key not in index_of:
-            index_of[key] = len(unique_paths)
-            unique_paths.append(heatmap_path)
-
-    stacked = np.stack([
-        (np.zeros((resolution, resolution)) if p is None
-         else load_heatmap(root, {"heatmap_path": p}, resolution))[..., None]
-        for p in unique_paths])
+        index_of.setdefault(heatmap_path, len(index_of))
+    stacked = np.stack([load_heatmap(root, {"heatmap_path": p}, resolution)[..., None]
+                        for p in index_of])
+    constant = teacher.detach()
     logits, au_pred, cls = [], [], []
     for lo in range(0, stacked.shape[0], batch_size):
-        out = forward(stacked[lo:lo + batch_size], teacher, training=False)
+        out = forward(stacked[lo:lo + batch_size], constant, training=False)
         logits.append(out.pspi_logits.data)
         au_pred.append(out.au_pred.data)
         cls.append(out.cls_feature.data)
@@ -385,7 +308,7 @@ def _precompute_teacher_signals(pairs, root, teacher: ModelParams,
     au_pred = np.concatenate(au_pred)
     cls = np.concatenate(cls)
 
-    gather = np.array([index_of[p or "__zero__"] for _, p in pairs])
+    gather = np.array([index_of[p] for _, p in pairs])
     return {"pspi_logits": logits[gather], "au_pred": au_pred[gather],
             "cls_feature": cls[gather]}
 
@@ -403,12 +326,8 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
     root = manifest_path.parent
     rows = read_manifest(manifest_path)
     config = train_config or TrainConfig()
-    weights = loss_weights or LossWeights()
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=3)
-
-    inputs = _load_stack(load_rgb, rows, root)
-    _check_resolution(inputs, model_config)
-    pspi, au, subjects = _labels_of(rows)
+    data = load_model_inputs(root, rows, model_config)
 
     teacher_arrays = None
     role = "student_baseline"
@@ -418,12 +337,9 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
             raise ConfigError(
                 f"teacher hidden dim {teacher.config.hidden_dim} does not match "
                 f"student {model_config.hidden_dim}; CLS features cannot align")
-        pairs = pair_modalities(rows)
-        teacher_arrays = _precompute_teacher_signals(pairs, root, teacher,
-                                                     config.batch_size)
+        teacher_arrays = _precompute_teacher_signals(pair_modalities(rows), root,
+                                                     teacher, config.batch_size)
         role = "student_distilled"
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _train_loop(role, inputs, pspi, au, subjects, teacher_arrays,
-                       model_config, config, weights, out)
+    return _train_loop(role, data, teacher_arrays, model_config, config,
+                       loss_weights or LossWeights(), out_dir)

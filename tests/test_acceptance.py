@@ -16,10 +16,10 @@ import pytest
 from painforge import tensor as T
 from painforge.evaluation import evaluate_model
 from painforge.facesynth.au import AUVector, pspi_score
-from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
-                                         load_heatmap, read_rows)
+from painforge.facesynth.dataset import DatasetSpec, build_dataset, load_heatmap
 from painforge.facesynth.demographics import reference_config, sample_demographics
-from painforge.fileio import file_sha256, load_tensor, save_tensor, write_manifest
+from painforge.fileio import (file_sha256, load_tensor, read_manifest, save_tensor,
+                              write_manifest)
 from painforge.metrics import binary_auroc, subject_kfold, tolerance_accuracy
 from painforge.model import (ModelConfig, au_cross_attention, forward,
                              init_params)
@@ -237,7 +237,7 @@ def test_criterion_5_dataset_integrity(dataset_100, tmp_path):
     spec, out, manifest, build_seconds = dataset_100
     assert build_seconds < 300.0, f"build took {build_seconds:.0f}s"
 
-    rows = read_rows(manifest)
+    rows = read_manifest(manifest)
     assert len(rows) == 3300
     heatmap_paths = {r["heatmap_path"] for r in rows if r["heatmap_path"]}
     assert len(heatmap_paths) == 1000
@@ -325,7 +325,7 @@ def desk_scale_data(tmp_path_factory):
                        views=(0.0,), resolution=64, seed=8)
     out = tmp_path_factory.mktemp("desk_data")
     manifest = build_dataset(spec, out)
-    rows = read_rows(manifest)
+    rows = read_manifest(manifest)
     subjects = sorted({r["split_subject_id"] for r in rows})
     order = [subjects[i] for i in
              keyed_rng(8, STREAM_SPLIT, 404).permutation(len(subjects))]

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from painforge.cli import main
-from painforge.config import load_config, parse_config_text
+from painforge.config import RunConfig, load_config, parse_config_text
 from painforge.errors import ConfigError
 from painforge.fileio import file_sha256, read_manifest
 from painforge.model import ModelConfig, init_params, save_checkpoint
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 TOY_CONFIG = """\
 # toy run
@@ -69,6 +72,28 @@ class TestConfig:
     def test_out_of_range_train_value_rejected_at_parse(self, line):
         with pytest.raises(ConfigError):
             parse_config_text(line + "\n")
+
+    @pytest.mark.parametrize("key, value", [("dataset.pspi_distribution", "1,x"),
+                                            ("dataset.views", "0,abc"),
+                                            ("dataset.resolution", "0")])
+    def test_bad_dataset_value_rejected_at_parse(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("key, value", [("dataset.pspi_distribution", "1,x"),
+                                            ("dataset.views", "0,abc")])
+    def test_malformed_dataset_value_exits_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CONFIG + f"{key} = {value}\nout = {tmp_path / 'run'}\n")
+        assert main(["generate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_pinned_config_hashes(self):
+        # The hash names a run in the ledger; the default table must not drift.
+        assert RunConfig.from_mapping({}).hash() == "fe7543574f020022"
+        assert load_config(DEMOS / "pipeline.cfg").hash() == "5907f2fb04753e71"
 
     def test_out_of_range_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

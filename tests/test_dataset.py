@@ -7,8 +7,8 @@ from painforge.errors import ConfigError
 from painforge.facesynth.au import AUVector, pspi_score
 from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
                                          demographic_summary, load_heatmap,
-                                         load_rgb, load_sample, read_rows)
-from painforge.fileio import file_sha256
+                                         load_rgb, load_sample)
+from painforge.fileio import file_sha256, read_manifest
 
 
 SPEC = DatasetSpec(identities=3, expressions_per_identity=2, views=(-30.0, 0.0, 30.0),
@@ -19,7 +19,7 @@ SPEC = DatasetSpec(identities=3, expressions_per_identity=2, views=(-30.0, 0.0, 
 def built(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     manifest = build_dataset(SPEC, out)
-    return out, manifest, read_rows(manifest)
+    return out, manifest, read_manifest(manifest)
 
 
 class TestCounts:
@@ -34,7 +34,7 @@ class TestCounts:
     def test_minimal_spec_counts(self, tmp_path):
         spec = DatasetSpec(identities=1, expressions_per_identity=1, views=(0.0,),
                            resolution=32, seed=0)
-        rows = read_rows(build_dataset(spec, tmp_path))
+        rows = read_manifest(build_dataset(spec, tmp_path))
         assert len(rows) == 2
         assert sum(1 for r in rows if r["heatmap_path"]) == 1
 
@@ -112,17 +112,22 @@ class TestDeterminism:
 
     def test_resume_repairs_missing_files(self, built):
         out, manifest, rows = built
-        victim = out / rows[0]["rgb_path"]
-        original = file_sha256(victim)
-        victim.unlink()
+        rigged = [r for r in rows if r["expression_id"] is not None]
+        # a neutral frame, a rigged frame and a heatmap, of different identities
+        victims = [out / rows[0]["rgb_path"], out / rigged[-1]["rgb_path"],
+                   out / next(r["heatmap_path"] for r in rigged
+                              if r["identity_id"] == 1)]
+        originals = [file_sha256(v) for v in victims + [manifest]]
+        for victim in victims:
+            victim.unlink()
         build_dataset(SPEC, out, resume=True)
-        assert file_sha256(victim) == original
+        assert [file_sha256(v) for v in victims + [manifest]] == originals
 
     def test_different_seed_changes_expressions(self, built, tmp_path):
         import dataclasses
         _, _, rows_a = built
         spec_b = dataclasses.replace(SPEC, seed=12)
-        rows_b = read_rows(build_dataset(spec_b, tmp_path))
+        rows_b = read_manifest(build_dataset(spec_b, tmp_path))
         aus_a = [tuple(r["au"]) for r in rows_a if r["expression_id"] is not None]
         aus_b = [tuple(r["au"]) for r in rows_b if r["expression_id"] is not None]
         assert aus_a != aus_b
@@ -136,6 +141,11 @@ class TestSpecValidation:
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
             DatasetSpec(identities=0)
+
+    @pytest.mark.parametrize("resolution", [0, -4])
+    def test_bad_resolution(self, resolution):
+        with pytest.raises(ConfigError):
+            DatasetSpec(resolution=resolution)
 
     def test_unwritable_out_dir(self, tmp_path):
         from painforge.errors import DataError
@@ -154,6 +164,6 @@ class TestSpecValidation:
         m1 = build_dataset(spec, serial, workers=1)
         m2 = build_dataset(spec, parallel, workers=2)
         assert file_sha256(m1) == file_sha256(m2)
-        for row in read_rows(m1):
+        for row in read_manifest(m1):
             assert file_sha256(serial / row["rgb_path"]) == \
                 file_sha256(parallel / row["rgb_path"])

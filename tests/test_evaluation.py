@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from painforge.errors import ConfigError
+from painforge.errors import ConfigError, DataError
 from painforge.evaluation import evaluate_model, prediction_set_from_manifest
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
+from painforge.fileio import read_manifest, write_manifest
 from painforge.model import ModelConfig, init_params, save_checkpoint
 from painforge.training import TrainConfig, train_teacher
 
@@ -67,6 +68,28 @@ class TestEvaluateModel:
         ckpt = save_checkpoint(init_params(wrong, 0), out / "wrong_ckpt")
         with pytest.raises(ConfigError):
             evaluate_model(ckpt, manifest)
+
+    @pytest.mark.parametrize("model", ["rgb", "heatmap"])
+    def test_rigged_row_without_heatmap_is_data_error(self, data_and_ckpts,
+                                                      tmp_path, model):
+        out, manifest, rgb_ckpt, heat_ckpt = data_and_ckpts
+        rows = read_manifest(manifest)
+        victim = next(r for r in rows
+                      if r["expression_id"] is not None and r["identity_id"] == 3)
+        victim["heatmap_path"] = None
+        broken = out / f"broken_{model}.jsonl"
+        write_manifest(broken, rows)
+        ckpt = rgb_ckpt if model == "rgb" else heat_ckpt
+        with pytest.raises(DataError, match="identity 3"):
+            evaluate_model(ckpt, broken)
+
+    def test_heatmap_model_on_rgb_only_manifest_is_data_error(self, data_and_ckpts):
+        out, manifest, _, heat_ckpt = data_and_ckpts
+        rgb_only = out / "rgb_only.jsonl"
+        write_manifest(rgb_only, [r for r in read_manifest(manifest)
+                                  if r["expression_id"] is None])
+        with pytest.raises(DataError):
+            evaluate_model(heat_ckpt, rgb_only)
 
     def test_trained_teacher_beats_chance(self, data_and_ckpts, tmp_path):
         # 10 heatmap samples, evaluated on the training set: the model only

@@ -9,7 +9,9 @@ from painforge.errors import ConfigError, IntegrityError, MetricError
 from painforge.metrics import (FoldPlan, PredictionSet, best_f1_threshold,
                                binarize_pspi, binary_auroc, evaluation_report,
                                f1_binary, macro_auroc, per_class_auroc,
-                               subject_kfold, tolerance_accuracy)
+                               subject_holdout, subject_kfold,
+                               tolerance_accuracy)
+from painforge.rng import STREAM_SPLIT
 
 
 def pair_counting_auroc(scores, labels):
@@ -188,6 +190,43 @@ class TestSubjectKFold:
     def test_duplicate_subject_rejected_in_plan(self):
         with pytest.raises(IntegrityError):
             FoldPlan(folds=[[1, 2], [2, 3]])
+
+
+# Held-out subjects for (seed, subject count, fraction), recorded from the two
+# split implementations that subject_holdout replaced: training validation,
+# keyed (seed, STREAM_SPLIT), and the pipeline's test holdout, keyed
+# (seed, STREAM_SPLIT, 999). Subject ids are 3i + 1, two rows each.
+VALIDATION_SPLITS = {
+    (0, 8, 0.2): [1, 7], (1, 8, 0.2): [13, 16], (4, 5, 0.2): [1],
+    (7, 2, 0.2): [1], (7, 2, 0.9): [1], (3, 10, 0.5): [1, 13, 16, 19, 25],
+    (11, 40, 0.2): [19, 28, 31, 52, 58, 76, 85, 88],
+    (5, 64, 0.2): [64, 70, 79, 91, 100, 112, 115, 127, 133, 154, 160, 172, 175],
+    (123, 3, 0.1): [4], (2, 1, 0.2): [], (9, 6, 0.0): [],
+    (0, 12, 0.34): [7, 10, 22, 25]}
+PIPELINE_HOLDOUTS = {
+    (0, 8, 0.2): [7, 19], (1, 8, 0.2): [1, 22], (4, 5, 0.2): [4],
+    (7, 2, 0.2): [4], (7, 2, 0.9): [4], (3, 10, 0.5): [7, 19, 22, 25, 28],
+    (11, 40, 0.2): [28, 37, 43, 55, 70, 88, 91, 109],
+    (5, 64, 0.2): [13, 73, 76, 91, 94, 100, 103, 112, 133, 136, 160, 163, 166],
+    (123, 3, 0.1): [7], (2, 1, 0.2): [], (0, 12, 0.34): [1, 7, 28, 31]}
+
+
+def _subject_rows(n):
+    return [3 * i + 1 for i in range(n) for _ in range(2)]
+
+
+class TestSubjectHoldout:
+    @pytest.mark.parametrize("case", sorted(VALIDATION_SPLITS))
+    def test_validation_split_golden(self, case):
+        seed, n, fraction = case
+        held = subject_holdout(_subject_rows(n), fraction, (seed, STREAM_SPLIT))
+        assert sorted(held) == VALIDATION_SPLITS[case]
+
+    @pytest.mark.parametrize("case", sorted(PIPELINE_HOLDOUTS))
+    def test_pipeline_holdout_golden(self, case):
+        seed, n, fraction = case
+        held = subject_holdout(_subject_rows(n), fraction, (seed, STREAM_SPLIT, 999))
+        assert sorted(held) == PIPELINE_HOLDOUTS[case]
 
 
 def oracle_prediction_set(n=60, classes=17, seed=0):

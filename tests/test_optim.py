@@ -25,7 +25,6 @@ class TestAdamW:
         state = init_optim_state(params, weight_decay=0.0)
         out = adamw_step(params, {"w": np.ones(1)}, state, lr=0.1)
         assert np.isclose(out["w"][0], 0.9, atol=1e-6)
-        assert state.step == 1
 
     def test_lr_zero_is_identity_on_parameters(self):
         rng = np.random.default_rng(0)
@@ -39,15 +38,6 @@ class TestAdamW:
         state = init_optim_state(params)
         with pytest.raises(DimensionError):
             adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1)
-
-    def test_step_counter_strictly_increases(self):
-        params = _single([1.0])
-        state = init_optim_state(params, weight_decay=0.0)
-        seen = []
-        for _ in range(4):
-            params = adamw_step(params, {"w": np.ones(1)}, state, lr=0.01)
-            seen.append(state.step)
-        assert seen == [1, 2, 3, 4]
 
     def test_group_learning_rates(self):
         params = {"a": np.array([1.0]), "b": np.array([1.0])}

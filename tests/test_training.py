@@ -7,7 +7,8 @@ import pytest
 
 from painforge import training
 from painforge.errors import ConfigError, DataError, NumericError
-from painforge.facesynth.dataset import DatasetSpec, build_dataset, read_rows
+from painforge.facesynth.dataset import DatasetSpec, build_dataset
+from painforge.fileio import read_manifest
 from painforge.model import ModelConfig, init_params, load_checkpoint
 from painforge.tensor import Tensor
 from painforge.training import (LossWeights, TeacherSignals, TrainConfig,
@@ -146,7 +147,7 @@ MODEL32 = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
 class TestPairModalities:
     def test_all_views_share_one_heatmap(self, small_data):
         _, manifest = small_data
-        pairs = pair_modalities(read_rows(manifest))
+        pairs = pair_modalities(read_manifest(manifest))
         by_expr = {}
         for row, heatmap in pairs:
             if row["expression_id"] is not None:
@@ -157,13 +158,13 @@ class TestPairModalities:
 
     def test_neutral_pairs_with_zero(self, small_data):
         _, manifest = small_data
-        pairs = pair_modalities(read_rows(manifest))
+        pairs = pair_modalities(read_manifest(manifest))
         neutrals = [h for row, h in pairs if row["expression_id"] is None]
         assert neutrals and all(h is None for h in neutrals)
 
     def test_missing_heatmap_is_data_error(self, small_data):
         _, manifest = small_data
-        rows = read_rows(manifest)
+        rows = read_manifest(manifest)
         broken = [dict(r) for r in rows]
         victim = next(r for r in broken if r["expression_id"] is not None)
         victim["heatmap_path"] = None
@@ -186,7 +187,7 @@ class TestTrainTeacher:
 
     def test_rgb_only_manifest_is_data_error(self, small_data, tmp_path):
         out, manifest = small_data
-        rows = read_rows(manifest)
+        rows = read_manifest(manifest)
         rgb_only = [dict(r) for r in rows if r["expression_id"] is None]
         from painforge.fileio import write_manifest
         bad_manifest = tmp_path / "rgb_only.jsonl"
@@ -257,6 +258,39 @@ class TestTrainStudent:
             assert all(backbone_grad_is_none)
         for arrays, grads, _ in updated[steps_per_epoch:]:
             assert arrays == grads == everything
+
+    def test_eval_mode_passes_build_no_graph(self, small_data, tmp_path,
+                                             monkeypatch):
+        # Validation, the teacher precompute and evaluate_model run the model in
+        # eval mode; none of their outputs may carry an autodiff graph.
+        from painforge import evaluation, model
+        _, manifest = small_data
+        seen = []
+
+        def spy(real):
+            def forward(images, params, training=False, *args, **kwargs):
+                out = real(images, params, training, *args, **kwargs)
+                seen.append((training, [t.requires_grad for t in
+                                        (out.pspi_logits, out.au_pred,
+                                         out.cls_feature)]))
+                return out
+            return forward
+
+        monkeypatch.setattr(model, "forward", spy(model.forward))
+        monkeypatch.setattr(training, "forward", spy(training.forward))
+        config = TrainConfig(epochs=1, freeze_epochs=0, batch_size=8, seed=1,
+                             val_fraction=0.3)
+        teacher_ckpt, _ = train_teacher(manifest, tmp_path / "t",
+                                        model_config=MODEL32, train_config=config)
+        ckpt, _ = train_student(manifest, tmp_path / "s", teacher_checkpoint=teacher_ckpt,
+                                model_config=MODEL32, train_config=config)
+        evaluation.evaluate_model(ckpt, manifest)
+        eval_grads = [g for is_training, grads in seen if not is_training
+                      for g in grads]
+        # 2 validations, the teacher precompute, 1 evaluation
+        assert sum(1 for is_training, _ in seen if not is_training) >= 4
+        assert not any(eval_grads)
+        assert all(all(grads) for is_training, grads in seen if is_training)
 
     def test_non_finite_update_raises_at_that_step(self, small_data, tmp_path,
                                                    monkeypatch):
