@@ -129,7 +129,11 @@ def _print_metrics_table(rows: list[tuple[str, dict]]) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    thresholds = tuple(int(t) for t in args.thresholds.split(","))
+    try:
+        thresholds = tuple(int(t) for t in args.thresholds.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad value for --thresholds: {args.thresholds!r} "
+                          f"(comma-separated integers)") from exc
     t0 = time.perf_counter()
     report = evaluate_model(args.ckpt, args.data,
                             k_folds=None if args.holdout else args.folds,

@@ -175,7 +175,11 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
         pending.append((spec, profiles[i], plans[i], rows[i], str(out)))
 
     if workers is None:
-        workers = int(os.environ.get("PAINFORGE_THREADS", "1"))
+        raw = os.environ.get("PAINFORGE_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
     if workers > 1 and len(pending) > 1:
         with Pool(processes=workers) as pool:
             pool.map(_render_identity_star, pending, chunksize=1)

@@ -2,9 +2,10 @@
 
 The camera looks down -z after a yaw rotation about the vertical axis, so
 larger camera-space z means closer to the viewer. Rasterization generates
-candidate fragments for every triangle at once, resolves visibility by a
-stable z-sort (nearest fragment written last), and interpolates per-vertex
-attributes barycentrically. Everything is deterministic for fixed inputs.
+candidate fragments for every triangle at once, resolves visibility with a
+z-buffer (the nearest fragment of each pixel wins; of equal depths, the later
+in face order), and interpolates per-vertex attributes barycentrically at the
+winning fragments only. Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -85,40 +86,38 @@ def rasterize(vertices: np.ndarray, faces: np.ndarray, attributes: np.ndarray,
         image = np.zeros((h, w, n_attr))
         return image, np.full((h, w), -np.inf), np.zeros((h, w), dtype=bool)
 
+    # Candidates are the pixels of each kept face's clipped box, in (face,
+    # row-major pixel) order; fragments keep that order.
     f_idx = np.nonzero(keep)[0]
-    kx = int((x_hi[f_idx] - x_lo[f_idx]).max()) + 1
-    ky = int((y_hi[f_idx] - y_lo[f_idx]).max()) + 1
-    off_y, off_x = np.divmod(np.arange(ky * kx), kx)
+    box_w = (x_hi - x_lo + 1)[f_idx]
+    n_box = box_w * (y_hi - y_lo + 1)[f_idx]
+    f = np.repeat(f_idx, n_box)
+    starts = np.repeat(np.cumsum(n_box) - n_box, n_box)
+    off_y, off_x = np.divmod(np.arange(f.size) - starts, np.repeat(box_w, n_box))
+    px, py = x_lo[f] + off_x, y_lo[f] + off_y
 
-    px = x_lo[f_idx, None] + off_x[None, :]
-    py = y_lo[f_idx, None] + off_y[None, :]
-    in_box = (px <= x_hi[f_idx, None]) & (py <= y_hi[f_idx, None])
-
-    fax, fbx, fcx = ax[f_idx, None], bx[f_idx, None], cx[f_idx, None]
-    fay, fby, fcy = ay[f_idx, None], by[f_idx, None], cy[f_idx, None]
-    wa = (fbx - px) * (fcy - py) - (fby - py) * (fcx - px)
-    wb = (fcx - px) * (fay - py) - (fcy - py) * (fax - px)
-    wc = (fax - px) * (fby - py) - (fay - py) * (fbx - px)
-    inv_area = 1.0 / area2[f_idx, None]
+    ax, bx, cx, ay, by, cy = (t[f] for t in (ax, bx, cx, ay, by, cy))
+    wa = (bx - px) * (cy - py) - (by - py) * (cx - px)
+    wb = (cx - px) * (ay - py) - (cy - py) * (ax - px)
+    wc = (ax - px) * (by - py) - (ay - py) * (bx - px)
+    inv_area = 1.0 / area2[f]
     la, lb, lc = wa * inv_area, wb * inv_area, wc * inv_area
-    inside = in_box & (la >= 0.0) & (lb >= 0.0) & (lc >= 0.0)
+    inside = np.flatnonzero((la >= 0.0) & (lb >= 0.0) & (lc >= 0.0))
+    la, lb, lc, pix = la[inside], lb[inside], lc[inside], (py * w + px)[inside]
+    fa, fb, fc = faces[f[inside]].T
+    frag_z = la * z[fa] + lb * z[fb] + lc * z[fc]
 
-    fa, fb, fc = (faces[f_idx, k] for k in range(3))
-    frag_z = la * z[fa][:, None] + lb * z[fb][:, None] + lc * z[fc][:, None]
-    frag_attr = (la[..., None] * attributes[fa][:, None, :]
-                 + lb[..., None] * attributes[fb][:, None, :]
-                 + lc[..., None] * attributes[fc][:, None, :])
-
-    pix = (py * w + px)[inside]
-    frag_z = frag_z[inside]
-    frag_attr = frag_attr[inside]
-
-    order = np.argsort(frag_z, kind="stable")
+    # z-buffer: sort stably by pixel, then depth; the last fragment of each
+    # pixel's run is the nearest, and of equal depths the later one.
+    order = np.lexsort((frag_z, pix))
+    win = order[np.diff(pix[order], append=-1) != 0]
+    pix, fa, fb, fc = pix[win], fa[win], fb[win], fc[win]
+    la, lb, lc = la[win, None], lb[win, None], lc[win, None]
     flat_attr = np.zeros((h * w, n_attr))
     flat_z = np.full(h * w, -np.inf)
     covered = np.zeros(h * w, dtype=bool)
-    flat_attr[pix[order]] = frag_attr[order]
-    flat_z[pix[order]] = frag_z[order]
+    flat_attr[pix] = la * attributes[fa] + lb * attributes[fb] + lc * attributes[fc]
+    flat_z[pix] = frag_z[win]
     covered[pix] = True
     return flat_attr.reshape(h, w, n_attr), flat_z.reshape(h, w), covered.reshape(h, w)
 
@@ -144,9 +143,9 @@ def render_depth(mesh: FaceMesh, camera_yaw: float, resolution: int = 64) -> np.
 def vertex_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 0]]
     face_n = np.cross(vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a)
-    normals = np.zeros_like(vertices)
-    for k in range(3):
-        np.add.at(normals, faces[:, k], face_n)
+    # Corner 0 of every face, then corner 1, then corner 2: a fixed summation order.
+    normals = np.stack([np.bincount(faces.T.ravel(), weights=np.tile(face_n[:, k], 3),
+                                    minlength=len(vertices)) for k in range(3)], axis=1)
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     degenerate = norms[:, 0] <= 1e-20
     normals = normals / np.where(norms > 1e-20, norms, 1.0)

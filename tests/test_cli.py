@@ -137,6 +137,13 @@ class TestGenerate:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_non_integer_threads_exits_2(self, config_file, capsys, monkeypatch):
+        monkeypatch.setenv("PAINFORGE_THREADS", "abc")
+        assert main(["generate", "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert "PAINFORGE_THREADS" in err and "'abc'" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate"])  # missing --config
@@ -205,6 +212,14 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert code == 1
         assert victim.name in err and "Traceback" not in err
+
+    def test_evaluate_non_integer_thresholds_exits_2(self, tmp_path, capsys):
+        code = main(["evaluate", "--ckpt", str(tmp_path / "ckpt"),
+                     "--data", str(tmp_path / "manifest.jsonl"),
+                     "--thresholds", "2,x"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--thresholds" in err and "'2,x'" in err and "Traceback" not in err
 
     def test_same_seed_reproduces_checkpoint_bytes(self, generated, tmp_path):
         config_file, manifest = generated

@@ -1,5 +1,7 @@
 """Dataset builder: counts, labels, determinism, resume."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ class TestDeterminism:
         aus_b = [tuple(r["au"]) for r in rows_b if r["expression_id"] is not None]
         assert aus_a != aus_b
 
+    def test_pinned_generation_bytes(self, tmp_path):
+        # Reruns of one version are compared above; this digest pins the
+        # bytes themselves, so a deterministic change in rendering (or in
+        # labels, file layout or the tensor format) shows here.
+        spec = DatasetSpec(identities=2, expressions_per_identity=2,
+                           views=(-90.0, -30.0, 0.0, 30.0, 90.0), resolution=32,
+                           seed=2024)
+        manifest = build_dataset(spec, tmp_path)
+        digest = hashlib.sha256(manifest.read_bytes())
+        for row in read_manifest(manifest):
+            for key in ("rgb_path", "heatmap_path"):
+                if row[key]:
+                    digest.update((tmp_path / row[key]).read_bytes())
+        assert digest.hexdigest() == \
+            "2d0f8372f9641fc439a9a6d98efb4688cc0e22d7ca6df29fb30097daa19d1417"
+
 
 class TestSpecValidation:
     def test_bad_distribution(self):
@@ -155,6 +173,13 @@ class TestSpecValidation:
                            views=(0.0,), resolution=32, seed=0)
         with pytest.raises(DataError):
             build_dataset(spec, blocker / "sub")
+
+    def test_non_integer_threads_env_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PAINFORGE_THREADS", "abc")
+        spec = DatasetSpec(identities=1, expressions_per_identity=1,
+                           views=(0.0,), resolution=8, seed=0)
+        with pytest.raises(ConfigError, match="PAINFORGE_THREADS.*'abc'"):
+            build_dataset(spec, tmp_path)
 
     def test_workers_parallel_build_matches_serial(self, tmp_path):
         spec = DatasetSpec(identities=4, expressions_per_identity=1, views=(0.0,),

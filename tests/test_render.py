@@ -9,9 +9,10 @@ from painforge.facesynth.au import AUVector
 from painforge.facesynth.demographics import DemographicProfile
 from painforge.facesynth.mesh import (FaceMesh, apply_au_rig, au_region_masks,
                                       make_identity_mesh, mesh_from_shape_params)
-from painforge.facesynth.render import (project_region_mask, render_depth,
-                                        render_heatmap, render_rgb,
-                                        splat_vertex_values)
+from painforge.facesynth.render import (VIEW_EXTENT, project_region_mask,
+                                        rasterize, render_depth, render_heatmap,
+                                        render_rgb, rotate_yaw,
+                                        splat_vertex_values, vertex_normals)
 
 PROFILE = DemographicProfile("Young", "East Asian", "Man", identity_seed=42)
 
@@ -150,3 +151,130 @@ class TestRenderHeatmap:
                         np.zeros(8), np.zeros((6, 3, 3)))
         with pytest.raises(GeometryError):
             render_heatmap(mesh, tiny, 0.0, 64)
+
+
+def _oracle_rasterize(vertices, faces, attributes, resolution, extent=VIEW_EXTENT):
+    """Straight-line reference: one fragment at a time, a scalar z-buffer.
+
+    Same expressions in the same order as ``rasterize``; the nearest fragment
+    (largest z) wins a pixel, and on an exact z tie the later fragment in
+    (face, row-major pixel) order wins.
+    """
+    h = w = resolution
+    n_attr = attributes.shape[1]
+    image = np.zeros((h, w, n_attr))
+    depth = np.full((h, w), -np.inf)
+    covered = np.zeros((h, w), dtype=bool)
+    sx = [(float(v[0]) / (2.0 * extent) + 0.5) * w - 0.5 for v in vertices]
+    sy = [(0.5 - float(v[1]) / (2.0 * extent)) * h - 0.5 for v in vertices]
+    for ia, ib, ic in faces:
+        ax, bx, cx = sx[ia], sx[ib], sx[ic]
+        ay, by, cy = sy[ia], sy[ib], sy[ic]
+        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        x_lo = int(min(max(np.ceil(min(ax, bx, cx)), 0), w - 1))
+        x_hi = int(min(max(np.floor(max(ax, bx, cx)), 0), w - 1))
+        y_lo = int(min(max(np.ceil(min(ay, by, cy)), 0), h - 1))
+        y_hi = int(min(max(np.floor(max(ay, by, cy)), 0), h - 1))
+        if not abs(area2) > 1e-12:
+            continue
+        inv_area = 1.0 / area2
+        for py in range(y_lo, y_hi + 1):
+            for px in range(x_lo, x_hi + 1):
+                la = ((bx - px) * (cy - py) - (by - py) * (cx - px)) * inv_area
+                lb = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) * inv_area
+                lc = ((ax - px) * (by - py) - (ay - py) * (bx - px)) * inv_area
+                if not (la >= 0.0 and lb >= 0.0 and lc >= 0.0):
+                    continue
+                z = (la * vertices[ia, 2] + lb * vertices[ib, 2]
+                     + lc * vertices[ic, 2])
+                covered[py, px] = True
+                if z >= depth[py, px]:
+                    depth[py, px] = z
+                    image[py, px] = [la * attributes[ia, k] + lb * attributes[ib, k]
+                                     + lc * attributes[ic, k] for k in range(n_attr)]
+    return image, depth, covered
+
+
+def _screen_vertices(points, resolution, extent):
+    """World vertices whose pixel coordinates are exactly ``(sx, sy, z)``."""
+    points = np.asarray(points, dtype=np.float64)
+    x = ((points[:, 0] + 0.5) / resolution - 0.5) * (2.0 * extent)
+    y = (0.5 - (points[:, 1] + 0.5) / resolution) * (2.0 * extent)
+    return np.stack([x, y, points[:, 2]], axis=1)
+
+
+def _assert_matches_oracle(vertices, faces, attributes, resolution,
+                           extent=VIEW_EXTENT):
+    got = rasterize(vertices, faces, attributes, resolution, extent)
+    want = _oracle_rasterize(vertices, faces, attributes, resolution, extent)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+class TestRasterizeOracle:
+    @pytest.mark.parametrize("yaw", [-90.0, -30.0, 0.0, 30.0, 90.0])
+    def test_template_matches_per_pixel_oracle(self, template, yaw):
+        cam = rotate_yaw(template.vertices, yaw)
+        attrs = np.random.default_rng(7).uniform(-1.0, 1.0, (cam.shape[0], 4))
+        _, _, covered = _assert_matches_oracle(cam, template.faces, attrs, 16)
+        assert covered.any()
+
+    def test_exact_z_tie_goes_to_later_face(self):
+        # Two copies of one triangle at the same depth; only the attribute
+        # differs, so every covered pixel is an exact z tie.
+        verts = _screen_vertices([(0, 0, 0.25), (7, 0, 0.25), (0, 7, 0.25)] * 2, 8, 0.5)
+        faces = np.array([[0, 1, 2], [3, 4, 5]])
+        attrs = np.array([[1.0], [1.0], [1.0], [2.0], [2.0], [2.0]])
+        image, depth, covered = _assert_matches_oracle(verts, faces, attrs, 8, 0.5)
+        assert covered.sum() == 36
+        assert np.allclose(image[covered, 0], 2.0, rtol=0, atol=1e-12)
+
+    def test_pixel_centres_on_a_shared_edge(self):
+        # Two triangles share the edge x + y = 7; the pixel centres on it
+        # are inside both by the inclusive test.
+        pts = [(0, 0, 0.5), (7, 0, 0.5), (0, 7, 0.5), (7, 7, 0.5)]
+        verts = _screen_vertices(pts, 8, 0.5)
+        attrs = np.array([[1.0], [2.0], [3.0], [4.0]])
+        for faces in ([[0, 1, 2], [1, 3, 2]], [[1, 3, 2], [0, 1, 2]]):
+            _, _, covered = _assert_matches_oracle(verts, np.array(faces), attrs, 8, 0.5)
+            assert covered.all()
+        # An earlier, nearer copy of the second triangle wins the edge pixels.
+        near = _screen_vertices(pts + [(7, 0, 0.75), (7, 7, 0.75), (0, 7, 0.75)], 8, 0.5)
+        attrs = np.vstack([attrs, [[9.0], [9.0], [9.0]]])
+        image, depth, _ = _assert_matches_oracle(near, np.array([[4, 5, 6], [0, 1, 2]]),
+                                                 attrs, 8, 0.5)
+        edge = np.arange(8), 7 - np.arange(8)
+        assert np.allclose(image[edge][:, 0], 9.0, rtol=0, atol=1e-12)
+        assert np.allclose(depth[edge], 0.75, rtol=0, atol=1e-12)
+
+
+def _oracle_vertex_normals(vertices, faces):
+    """The three-pass ``np.add.at`` accumulation, kept as the reference."""
+    a = vertices[faces[:, 0]]
+    face_n = np.cross(vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a)
+    normals = np.zeros_like(vertices)
+    for k in range(3):
+        np.add.at(normals, faces[:, k], face_n)
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    degenerate = norms[:, 0] <= 1e-20
+    normals = normals / np.where(norms > 1e-20, norms, 1.0)
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    normals[normals[:, 2] < 0] *= -1.0
+    return normals
+
+
+class TestVertexNormals:
+    def test_template_bit_equal_to_add_at(self, template):
+        got = vertex_normals(template.vertices, template.faces)
+        assert got.tobytes() == _oracle_vertex_normals(template.vertices,
+                                                       template.faces).tobytes()
+
+    @pytest.mark.parametrize("yaw", [-30.0, 0.0, 30.0])
+    def test_rigged_view_bit_equal_to_add_at(self, mesh, yaw):
+        rigged = apply_au_rig(mesh, AUVector(au4=3, au10=2, au43=1))
+        cam = rotate_yaw(rigged.vertices, yaw)
+        got = vertex_normals(cam, rigged.faces)
+        assert got.shape == cam.shape
+        assert got.tobytes() == _oracle_vertex_normals(cam, rigged.faces).tobytes()
