@@ -144,8 +144,18 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
 
     With ``resume`` set, identities whose files all exist are skipped; content
     is deterministic per identity so a resumed build is byte-identical to an
-    uninterrupted one.
+    uninterrupted one. ``workers`` defaults to ``PAINFORGE_THREADS`` (else 1)
+    and must be at least 1.
     """
+    if workers is None:
+        raw = os.environ.get("PAINFORGE_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
+    if workers < 1:
+        raise ConfigError(
+            f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
     out = Path(out_dir)
     try:
         (out / "frames").mkdir(parents=True, exist_ok=True)
@@ -174,12 +184,6 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
             continue
         pending.append((spec, profiles[i], plans[i], rows[i], str(out)))
 
-    if workers is None:
-        raw = os.environ.get("PAINFORGE_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
     if workers > 1 and len(pending) > 1:
         with Pool(processes=workers) as pool:
             pool.map(_render_identity_star, pending, chunksize=1)

@@ -197,6 +197,10 @@ def mesh_from_shape_params(shape_params, wrinkle_amplitude: float = 0.0) -> Face
     if shape_params.shape != (NUM_SHAPE_PARAMS,):
         raise ParameterError(
             f"expected {NUM_SHAPE_PARAMS} shape parameters, got {shape_params.shape}")
+    if not (np.isfinite(shape_params).all() and np.isfinite(wrinkle_amplitude)):
+        raise ParameterError(
+            f"shape parameters and wrinkle amplitude must be finite, got "
+            f"{shape_params.tolist()} and {wrinkle_amplitude}")
     base, faces, u, v = _template_arrays()
     basis, _ = _au_basis_and_masks()
     vertices = _apply_shape(base, u, v, shape_params)

@@ -58,6 +58,8 @@ def rasterize(vertices: np.ndarray, faces: np.ndarray, attributes: np.ndarray,
     """
     if vertices.shape[0] == 0 or faces.shape[0] == 0:
         raise GeometryError("cannot rasterize an empty mesh")
+    if not np.isfinite(vertices).all():
+        raise GeometryError("cannot rasterize non-finite vertex positions")
     h = w = int(resolution)
     attributes = np.asarray(attributes, dtype=np.float64)
     if attributes.ndim == 1:

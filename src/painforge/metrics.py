@@ -5,10 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import ConfigError, IntegrityError, MetricError
 from .rng import STREAM_FOLD, keyed_rng
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise MetricError(f"{name} must be finite")
 
 
 @dataclass
@@ -23,7 +27,11 @@ class PredictionSet:
 
     def __post_init__(self):
         self.pspi_probs = np.asarray(self.pspi_probs, dtype=np.float64)
+        self.au_pred = np.asarray(self.au_pred, dtype=np.float64)
+        self.true_au = np.asarray(self.true_au, dtype=np.float64)
         self.true_pspi = np.asarray(self.true_pspi, dtype=np.int64)
+        for name in ("pspi_probs", "au_pred", "true_au"):
+            _check_finite(getattr(self, name), name)
         row_sums = self.pspi_probs.sum(axis=1)
         if np.any(self.pspi_probs < 0) or np.any(np.abs(row_sums - 1.0) > 1e-6):
             raise MetricError("pspi_probs rows must be nonnegative and sum to 1")
@@ -55,19 +63,30 @@ class FoldPlan:
 
 def binary_auroc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative, with
-    ties counted half; the rank (Mann-Whitney) formulation."""
+    ties counted half; the rank (Mann-Whitney) formulation.
+
+    Each score's rank is the mean of the first and last 1-based positions of
+    its value among the sorted scores, found by binary search, so tied scores
+    share a rank; the positives' rank sum gives U. Labels equal to 1 are
+    positives and all others negatives. Non-finite scores are a MetricError,
+    so no order for NaN is ever needed.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricError(
             f"scores and labels must be equal-length vectors, got "
             f"{scores.shape} and {labels.shape}")
+    _check_finite(scores, "AUROC scores")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUROC undefined: both classes must be present")
-    ranks = sp_stats.rankdata(scores, method="average")
+    # every rank is an integer or a half-integer, so exact in float64
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, side="left")
+             + np.searchsorted(ordered, scores, side="right") + 1) * 0.5
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -159,16 +178,33 @@ def subject_holdout(subject_ids, fraction: float, key: tuple) -> set:
 
 
 def best_f1_threshold(scores, labels) -> tuple[float, float]:
-    """Scan candidate thresholds and return (best F1, threshold achieving it)."""
+    """Scan candidate thresholds and return (best F1, threshold achieving it).
+
+    The candidates are 0.5 and every distinct score, and predicting positive
+    means ``score >= t``. The true and false positives of every candidate are
+    counted at once by binary search in the sorted positive and negative
+    scores; labels other than 0 and 1 count as neither class, as in
+    ``f1_binary``. The lowest candidate with the highest F1 wins, and
+    (0.0, 0.5) is returned when no candidate scores above 0. Non-finite
+    scores are a MetricError.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise MetricError(f"shapes disagree: {scores.shape} vs {labels.shape}")
+    _check_finite(scores, "F1 scores")
     candidates = np.unique(np.concatenate([[0.5], scores]))
-    best = (0.0, 0.5)
-    for t in candidates:
-        f1 = f1_binary((scores >= t).astype(np.int64), labels)
-        if f1 > best[0]:
-            best = (f1, float(t))
-    return best
+    positives = np.sort(scores[labels == 1])
+    negatives = np.sort(scores[labels == 0])
+    tp = positives.size - np.searchsorted(positives, candidates, side="left")
+    fp = negatives.size - np.searchsorted(negatives, candidates, side="left")
+    fn = positives.size - tp
+    denom = 2 * tp + fp + fn
+    f1 = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
+    best = int(np.argmax(f1))
+    if f1[best] > 0:
+        return float(f1[best]), float(candidates[best])
+    return 0.0, 0.5
 
 
 def _metrics_block(pred: PredictionSet, thresholds) -> dict:

@@ -144,6 +144,14 @@ class TestGenerate:
         assert "PAINFORGE_THREADS" in err and "'abc'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_threads_exits_2(self, config_file, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PAINFORGE_THREADS", raw)
+        assert main(["generate", "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert "PAINFORGE_THREADS" in err and f"got {raw}" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate"])  # missing --config

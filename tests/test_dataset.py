@@ -181,6 +181,23 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="PAINFORGE_THREADS.*'abc'"):
             build_dataset(spec, tmp_path)
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_threads_env_rejected(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("PAINFORGE_THREADS", raw)
+        spec = DatasetSpec(identities=1, expressions_per_identity=1,
+                           views=(0.0,), resolution=8, seed=0)
+        with pytest.raises(ConfigError, match=f"PAINFORGE_THREADS.*got {raw}$"):
+            build_dataset(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, tmp_path, workers):
+        spec = DatasetSpec(identities=1, expressions_per_identity=1,
+                           views=(0.0,), resolution=8, seed=0)
+        with pytest.raises(ConfigError, match=f"got {workers}$"):
+            build_dataset(spec, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
     def test_workers_parallel_build_matches_serial(self, tmp_path):
         spec = DatasetSpec(identities=4, expressions_per_identity=1, views=(0.0,),
                            resolution=32, seed=5)

@@ -82,6 +82,16 @@ class TestIdentity:
         with pytest.raises(ParameterError):
             mesh_from_shape_params(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shape_params(self, bad):
+        with pytest.raises(ParameterError):
+            mesh_from_shape_params([bad] + [0.0] * 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_wrinkle_amplitude(self, bad):
+        with pytest.raises(ParameterError):
+            mesh_from_shape_params(np.zeros(8), wrinkle_amplitude=bad)
+
 
 class TestRig:
     def test_zero_au_is_identity(self):

@@ -1,9 +1,17 @@
 """Metric correctness against brute-force oracles."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
 from painforge.errors import ConfigError, IntegrityError, MetricError
 from painforge.metrics import (FoldPlan, PredictionSet, best_f1_threshold,
@@ -63,6 +71,24 @@ class TestBinaryAUROC:
         base = binary_auroc(scores, labels)
         assert binary_auroc(np.exp(scores), labels) == pytest.approx(base)
         assert binary_auroc(3 * scores + 7, labels) == pytest.approx(base)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_binary_auroc(self, bad):
+        with pytest.raises(MetricError):
+            binary_auroc([bad, 0.2, 0.3, 0.1], [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_best_f1_threshold(self, bad):
+        with pytest.raises(MetricError):
+            best_f1_threshold([bad, 0.2, 0.3, 0.1], [1, 0, 1, 0])
+
+    def test_macro_auroc(self):
+        probs = np.full((4, 2), 0.5)
+        probs[0] = (np.nan, 0.5)
+        with pytest.raises(MetricError):
+            macro_auroc(probs, np.array([0, 1, 0, 1]))
 
 
 class TestMacroAUROC:
@@ -281,8 +307,141 @@ class TestEvaluationReport:
         with pytest.raises(IntegrityError):
             evaluation_report(pred, plan)
 
+    @pytest.mark.parametrize("field,bad", [("pspi_probs", np.nan),
+                                           ("au_pred", np.nan), ("au_pred", np.inf),
+                                           ("true_au", np.nan), ("true_au", -np.inf)])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        fields = dict(pspi_probs=np.full((2, 3), 1 / 3), au_pred=np.zeros((2, 6)),
+                      true_pspi=np.zeros(2, int), true_au=np.zeros((2, 6)),
+                      subject_id=np.zeros(2, int))
+        fields[field][0, 0] = bad
+        with pytest.raises(MetricError, match=field):
+            PredictionSet(**fields)
+
     def test_probs_must_sum_to_one(self):
         with pytest.raises(MetricError):
             PredictionSet(pspi_probs=np.full((2, 3), 0.5),
                           au_pred=np.zeros((2, 6)), true_pspi=np.zeros(2, int),
                           true_au=np.zeros((2, 6)), subject_id=np.zeros(2, int))
+
+
+# Reference implementations the metric battery must match bit for bit: AUROC
+# from scipy's average ranks, and the F1 scan as one f1_binary per candidate.
+def rankdata_auroc(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise MetricError("AUROC undefined: both classes must be present")
+    ranks = sp_stats.rankdata(scores, method="average")
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def loop_best_f1_threshold(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    best = (0.0, 0.5)
+    for t in np.unique(np.concatenate([[0.5], scores])):
+        f1 = f1_binary((scores >= t).astype(np.int64), labels)
+        if f1 > best[0]:
+            best = (f1, float(t))
+    return best
+
+
+def random_scores(rng, n):
+    """Continuous, quantized (0.5 included) or heavily tied scores."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return rng.random(n)
+    if kind == 1:
+        return np.round(rng.random(n) * 8) / 8
+    return rng.choice(rng.random(3), size=n)
+
+
+class TestOracleParity:
+    def test_binary_auroc_matches_rankdata(self):
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            n = int(rng.integers(2, 61))
+            labels = rng.integers(0, int(rng.integers(2, 4)), size=n)
+            labels[:2] = (0, 1)
+            scores = random_scores(rng, n)
+            assert repr(binary_auroc(scores, labels)) == \
+                repr(rankdata_auroc(scores, labels))
+
+    def test_per_class_auroc_matches_rankdata_on_17_columns(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(2, 81))
+            labels = rng.integers(0, 17, size=n)
+            probs = rng.dirichlet(np.ones(17), size=n)
+            if rng.random() < 0.5:
+                probs = np.round(probs * 4) / 4
+            expected = {}
+            for c in range(17):
+                positives = (labels == c).astype(np.int64)
+                if 0 < positives.sum() < n:
+                    expected[c] = rankdata_auroc(probs[:, c], positives)
+            assert repr(per_class_auroc(probs, labels)) == repr(expected)
+
+    def test_best_f1_threshold_matches_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(600):
+            n = int(rng.integers(0, 61))
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                labels = rng.integers(0, 2, size=n)
+            elif kind == 1:
+                labels = rng.integers(0, 3, size=n)
+            else:  # one class only
+                labels = np.full(n, int(rng.integers(0, 2)))
+            scores = random_scores(rng, n)
+            assert repr(best_f1_threshold(scores, labels)) == \
+                repr(loop_best_f1_threshold(scores, labels))
+
+    def test_one_class_auroc_undefined_in_both(self):
+        for labels in ([0, 0, 0], [1, 1, 1]):
+            for fn in (binary_auroc, rankdata_auroc):
+                with pytest.raises(MetricError):
+                    fn([0.2, 0.5, 0.5], labels)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats roughly doubles the import time and resident memory of
+    # `import painforge`; the package ranks without it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import painforge, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def pinned_prediction_set():
+    rng = np.random.default_rng(2024)
+    n, classes = 160, 17
+    true = rng.choice(classes, size=n, p=np.r_[0.5, np.full(16, 0.5 / 16)])
+    logits = rng.integers(0, 3, size=(n, classes)) + 2.0 * np.eye(classes)[true]
+    continuous = rng.random(n) < 0.5
+    logits[continuous] += rng.normal(size=(int(continuous.sum()), classes))
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return PredictionSet(pspi_probs=probs, au_pred=rng.random((n, 6)) * 5,
+                         true_pspi=true, true_au=rng.integers(0, 6, (n, 6)),
+                         subject_id=np.arange(n) % 20)
+
+
+def test_pinned_report_digest():
+    # Pins the report bytes themselves, recorded before ranking and the F1
+    # scan became array code.
+    pred = pinned_prediction_set()
+    plan = subject_kfold(pred.subject_id.tolist(), 5, seed=0)
+    report = evaluation_report(pred, plan, (2, 3))
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "2e49636985cba32abae3a60c68d00e08d71ef9c59494377cd5081de7482ee414"

@@ -250,6 +250,15 @@ class TestRasterizeOracle:
         assert np.allclose(depth[edge], 0.75, rtol=0, atol=1e-12)
 
 
+class TestRasterizeInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_is_geometry_error(self, template, bad):
+        verts = template.vertices.copy()
+        verts[100, 0] = bad
+        with pytest.raises(GeometryError):
+            rasterize(verts, template.faces, np.ones(verts.shape[0]), 16)
+
+
 def _oracle_vertex_normals(vertices, faces):
     """The three-pass ``np.add.at`` accumulation, kept as the reference."""
     a = vertices[faces[:, 0]]
