@@ -67,6 +67,7 @@ class RunConfig:
         config = cls(values=tuple(sorted(merged.items())))
         # Range-check every stage's values now, before any stage runs.
         config.dataset_spec()
+        config.model_config()
         config.train_config()
         config.loss_weights()
         return config

@@ -110,7 +110,10 @@ def per_class_auroc(probs, labels) -> dict:
 
 def macro_auroc(probs, labels) -> float:
     """Unweighted mean of the per-class one-vs-rest AUROCs."""
-    values = per_class_auroc(probs, labels)
+    return _mean_auroc(per_class_auroc(probs, labels))
+
+
+def _mean_auroc(values: dict) -> float:
     if not values:
         raise MetricError("macro AUROC undefined: no class has both "
                           "positives and negatives")
@@ -207,11 +210,13 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     return 0.0, 0.5
 
 
-def _metrics_block(pred: PredictionSet, thresholds) -> dict:
+def _metrics_block(pred: PredictionSet, thresholds) -> tuple[dict, dict]:
+    """The metrics of one prediction set, and its per-class AUROCs."""
     preds = pred.pspi_pred
+    per_class = per_class_auroc(pred.pspi_probs, pred.true_pspi)
     block = {
         "n_samples": int(pred.true_pspi.size),
-        "macro_auroc": macro_auroc(pred.pspi_probs, pred.true_pspi),
+        "macro_auroc": _mean_auroc(per_class),
         "acc_exact": tolerance_accuracy(preds, pred.true_pspi, 0),
         "acc_tol1": tolerance_accuracy(preds, pred.true_pspi, 1),
         "acc_tol2": tolerance_accuracy(preds, pred.true_pspi, 2),
@@ -232,7 +237,7 @@ def _metrics_block(pred: PredictionSet, thresholds) -> dict:
         entry["f1_best"] = f1_best
         entry["f1_best_threshold"] = t_best
         block["binary"][str(threshold)] = entry
-    return block
+    return block, per_class
 
 
 def evaluation_report(pred: PredictionSet, fold_plan: FoldPlan | None = None,
@@ -240,9 +245,8 @@ def evaluation_report(pred: PredictionSet, fold_plan: FoldPlan | None = None,
     """Metrics over the whole set and, when a fold plan is given, per fold
     with an unweighted mean across folds as the aggregate."""
     report: dict = {"thresholds": list(thresholds)}
-    report["overall"] = _metrics_block(pred, thresholds)
-    report["per_class_auroc"] = {
-        str(c): v for c, v in per_class_auroc(pred.pspi_probs, pred.true_pspi).items()}
+    report["overall"], per_class = _metrics_block(pred, thresholds)
+    report["per_class_auroc"] = {str(c): v for c, v in per_class.items()}
     if fold_plan is None:
         report["aggregate"] = report["overall"]
         report["folds"] = []
@@ -264,7 +268,7 @@ def evaluation_report(pred: PredictionSet, fold_plan: FoldPlan | None = None,
                             true_pspi=pred.true_pspi[mask],
                             true_au=pred.true_au[mask],
                             subject_id=pred.subject_id[mask])
-        block = _metrics_block(sub, thresholds)
+        block, _ = _metrics_block(sub, thresholds)
         block["fold"] = i
         block["subjects"] = sorted(np.asarray(fold).tolist())
         fold_blocks.append(block)

@@ -42,6 +42,18 @@ class ModelConfig:
     use_au_queries: bool = True
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "hidden_dim", "num_heads",
+                     "num_classes", "num_aus"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.num_layers < 0:
+            raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout_p}")
+        if not (np.isfinite(self.mlp_ratio)
+                and round(self.hidden_dim * self.mlp_ratio) >= 1):
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} must be finite and give "
+                              f"an MLP width >= 1 at hidden dim {self.hidden_dim}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image size {self.image_size} not divisible by patch size "

@@ -21,15 +21,12 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     if isinstance(data, np.ndarray):
-        arr = data
-        if dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        return arr
-    return np.asarray(data, dtype=dtype or np.float64)
+        if not np.issubdtype(data.dtype, np.floating):
+            return data.astype(np.float64)
+        return data
+    return np.asarray(data, dtype=np.float64)
 
 
 class Tensor:
@@ -38,8 +35,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward_fn=None, dtype=None):
-        self.data = _as_array(data, dtype)
+                 _parents: tuple = (), _backward_fn=None):
+        self.data = _as_array(data)
         if self.data.size == 0:
             raise DimensionError("tensor must not have zero-size dimensions")
         _check_finite(self.data)
@@ -97,29 +94,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -129,9 +108,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -226,17 +202,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     out_data = a.data * b.data
@@ -246,58 +211,6 @@ def mul(a, b) -> Tensor:
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = _coerce(a)
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(out_data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -429,12 +342,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _coerce(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # -- nonlinearities -------------------------------------------------------------
 
 def relu(a) -> Tensor:
@@ -499,19 +406,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _coerce(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise DimensionError(f"log_softmax axis {axis} invalid for shape {a.shape}")
-    out_data = _log_softmax_np(a.data, axis)
-
-    def backward(g):
-        soft = np.exp(out_data)
-        _accum(a, g - soft * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), backward)
-
-
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean/unit variance, then scale and shift.
 
@@ -525,13 +419,13 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm affine parameters must have shape ({dim},), "
             f"got {gamma.shape} and {beta.shape}")
-    # The same numpy expressions as the mean / variance / power primitives,
-    # so the forward bits match a composition of those ops.
+    # The same numpy expressions as a mean / variance / power composition of
+    # primitive ops, so the forward bits match that composition.
     inv_dim = 1.0 / dim
     centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_dim
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
     # An overflowing variance would give finite (zero) outputs; stop here as
-    # the primitive ops' own checks did.
+    # a composition's own checks would.
     if not np.all(np.isfinite(var)):
         raise NumericError(
             f"layer_norm: non-finite variance for input of shape {a.shape}")
@@ -554,6 +448,9 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 # -- losses ---------------------------------------------------------------------
+# Each loss is one node whose forward and backward evaluate the numpy
+# expressions of its chain of primitive ops (log-softmax, pick, subtract,
+# square, mean), so values and gradients keep the bits that chain gives.
 
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of integer class labels."""
@@ -569,9 +466,22 @@ def cross_entropy(logits, labels) -> Tensor:
     if bad.size:
         raise LabelError(
             f"label {int(labels[bad[0]])} at index {int(bad[0])} outside [0, {n_classes})")
-    picked = getitem(log_softmax(logits, axis=1),
-                     (np.arange(logits.shape[0]), labels))
-    return neg(tmean(picked))
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    log_probs = _log_softmax_np(logits.data, axis=1)
+    # An overflowing log-probability need not reach the picked entries.
+    if not np.all(np.isfinite(log_probs)):
+        raise NumericError(f"cross_entropy: non-finite log-probabilities for "
+                           f"logits of shape {logits.shape}")
+    out_data = -(log_probs[rows, labels].sum() * (1.0 / batch))
+
+    def backward(g):
+        picked_grad = np.zeros_like(log_probs)
+        np.add.at(picked_grad, (rows, labels), -g * (1.0 / batch))
+        soft = np.exp(log_probs)
+        _accum(logits, picked_grad - soft * picked_grad.sum(axis=1, keepdims=True))
+
+    return _make(out_data, (logits,), backward, "cross_entropy")
 
 
 def mse(a, b) -> Tensor:
@@ -579,8 +489,17 @@ def mse(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.shape != b.shape:
         raise DimensionError(f"mse shapes disagree: {a.shape} vs {b.shape}")
-    d = sub(a, b)
-    return tmean(mul(d, d))
+    d = a.data - b.data
+    inv_n = 1.0 / d.size
+    out_data = (d * d).sum() * inv_n
+
+    def backward(g):
+        half = (g * inv_n) * d
+        gd = half + half
+        _accum(a, gd)
+        _accum(b, -gd)
+
+    return _make(out_data, (a, b), backward, "mse")
 
 
 def kl_temperature(z_t, z_s, temperature: float) -> Tensor:
@@ -595,15 +514,23 @@ def kl_temperature(z_t, z_s, temperature: float) -> Tensor:
     if z_t.ndim != 2:
         raise DimensionError(f"kl_temperature expects B x C logits, got {z_t.shape}")
     temperature = float(temperature)
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
 
     inv_t = 1.0 / temperature
+    t2 = temperature * temperature
+    inv_b = 1.0 / z_s.shape[0]
     log_p = _log_softmax_np(z_t.data * inv_t, axis=1)  # teacher, constant
     p = np.exp(log_p)
-    log_q = log_softmax(mul(z_s, inv_t), axis=1)
-    per_row = tsum(mul(Tensor(p), sub(Tensor(log_p), log_q)), axis=1)
-    return mul(tmean(per_row), temperature * temperature)
+    log_q = _log_softmax_np(z_s.data * inv_t, axis=1)
+    out_data = (p * (log_p - log_q)).sum(axis=1).sum() * inv_b * t2
+
+    def backward(g):
+        g_log_q = -((g * t2 * inv_b) * p)
+        soft = np.exp(log_q)
+        _accum(z_s, (g_log_q - soft * g_log_q.sum(axis=1, keepdims=True)) * inv_t)
+
+    return _make(out_data, (z_s,), backward, "kl_temperature")
 
 
 # -- verification ------------------------------------------------------------------
@@ -616,7 +543,7 @@ def gradcheck(f: Callable[[Tensor], Tensor], x, h: float = 1e-5,
     Returns the max relative error |a - n| / (|a| + |n|) over components where
     |a| + |n| >= ``exclusion_floor``; 0.0 if every component is excluded.
     """
-    base = _as_array(x.data if isinstance(x, Tensor) else x, np.float64).copy()
+    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     probe = Tensor(base, requires_grad=True)
     out = f(probe)
     if out.size != 1:

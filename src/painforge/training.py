@@ -40,10 +40,11 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("pspi", "au", "pspi_distill", "au_distill", "feature_distill"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name} must be >= 0")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"loss weight {name} must be finite and >= 0")
+        if not 0 < self.temperature < np.inf:
+            raise ConfigError(
+                f"temperature must be positive and finite, got {self.temperature}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -68,15 +69,19 @@ class TrainConfig:
         if not 0 <= self.freeze_epochs <= max(self.epochs, 1):
             raise ConfigError(
                 f"freeze_epochs {self.freeze_epochs} must not exceed epochs {self.epochs}")
-        if self.lr_backbone <= 0 or self.lr_heads <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0 < self.lr_backbone < np.inf and 0 < self.lr_heads < np.inf):
+            raise ConfigError("learning rates must be positive and finite")
+        if not 0.0 <= self.floor_fraction <= 1.0:
+            raise ConfigError(
+                f"floor_fraction must be in [0, 1], got {self.floor_fraction}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

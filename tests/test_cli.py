@@ -90,6 +90,28 @@ class TestConfig:
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    # Each row was accepted at parse time before model.* and the non-finite
+    # train and loss values were range-checked there.
+    @pytest.mark.parametrize("key, value", [
+        ("model.num_heads", "0"), ("model.patch_size", "0"),
+        ("model.hidden_dim", "-4"), ("model.num_layers", "-1"),
+        ("model.dropout", "1.5"), ("model.dropout", "nan"),
+        ("model.mlp_ratio", "0"), ("model.mlp_ratio", "nan"),
+        ("train.floor_fraction", "-1"), ("train.floor_fraction", "1.5"),
+        ("train.lr_backbone", "nan"), ("train.lr_heads", "inf"),
+        ("train.weight_decay", "inf"), ("loss.au", "nan"), ("loss.pspi", "inf"),
+        ("loss.temperature", "nan")])
+    def test_out_of_range_value_rejected_at_parse(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{key} = {value}\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} = {value}\nout = {tmp_path / 'run'}\n")
+        code = main(["train", "--role", "teacher", "--data",
+                     str(tmp_path / "manifest.jsonl"), "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_pinned_config_hashes(self):
         # The hash names a run in the ledger; the default table must not drift.
         assert RunConfig.from_mapping({}).hash() == "fe7543574f020022"

@@ -297,7 +297,7 @@ class TestForward:
 
         def f(x):
             # patchify + centering redone by hand so the graph reaches x
-            imgs = T.mul(T.sub(x, T.tmean(x)), 2.0)
+            imgs = T.mul(T.add(x, T.mul(T.tsum(x), -1.0 / x.size)), 2.0)
             patches = T.reshape(T.transpose(T.reshape(
                 imgs, (2, 2, 4, 2, 4, 3)), (0, 1, 3, 2, 4, 5)), (2, 4, 48))
             tok = T.add(T.matmul(patches, params.tensors["patch_proj.w"]),
