@@ -9,8 +9,9 @@ line-oriented JSON manifest tying frames to labels and demographics.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,7 +24,7 @@ from .au import NUM_PSPI_CLASSES, AUVector, pspi_score, sample_au_config
 from .demographics import (DemographicProfile, reference_config,
                            sample_demographics, scale_config)
 from .mesh import apply_au_rig, make_identity_mesh
-from .render import render_heatmap, render_rgb
+from .render import render_heatmap, render_rgb, skin_albedo
 
 if TYPE_CHECKING:
     from ..model import ModelConfig
@@ -119,10 +120,12 @@ def _render_identity(spec: DatasetSpec, profile: DemographicProfile,
     """Render and write every file the identity's rows name.
 
     Rows come grouped by expression, neutral first, so each expression is
-    rigged and its heatmap rendered once, at its first row.
+    rigged and its heatmap rendered once, at its first row. The rig keeps the
+    wrinkle amplitude, so one skin albedo serves every frame.
     """
     out = Path(out_dir)
     mesh = make_identity_mesh(profile)
+    albedo = skin_albedo(profile, mesh.wrinkle_amplitude)
     expression, posed = None, mesh
     for row in rows:
         if row["expression_id"] != expression:
@@ -130,12 +133,26 @@ def _render_identity(spec: DatasetSpec, profile: DemographicProfile,
             posed = apply_au_rig(mesh, plan[expression])
             heat = render_heatmap(mesh, posed, HEATMAP_YAW, spec.resolution)
             save_tensor(out / row["heatmap_path"], heat.astype(np.float32))
-        img = render_rgb(posed, profile, spec.views[row["view_id"]], spec.resolution)
+        img = render_rgb(posed, profile, spec.views[row["view_id"]], spec.resolution,
+                         albedo=albedo)
         save_tensor(out / row["rgb_path"], img.astype(np.float32))
 
 
 def _render_identity_star(args) -> None:
     _render_identity(*args)
+
+
+def _default_workers() -> int:
+    """``PAINFORGE_THREADS`` if set, else the CPUs this process may run on."""
+    raw = os.environ.get("PAINFORGE_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
 
 
 def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
@@ -144,15 +161,14 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
 
     With ``resume`` set, identities whose files all exist are skipped; content
     is deterministic per identity so a resumed build is byte-identical to an
-    uninterrupted one. ``workers`` defaults to ``PAINFORGE_THREADS`` (else 1)
-    and must be at least 1.
+    uninterrupted one. ``workers`` defaults to ``PAINFORGE_THREADS``, else to
+    the number of CPUs this process may run on, and must be at least 1. It is
+    capped at the number of identities left to render; with one, they render
+    in this process, otherwise in a pool of worker processes. The bytes are
+    the same either way. A worker process that dies raises ``DataError``.
     """
     if workers is None:
-        raw = os.environ.get("PAINFORGE_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
+        workers = _default_workers()
     if workers < 1:
         raise ConfigError(
             f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
@@ -184,9 +200,15 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
             continue
         pending.append((spec, profiles[i], plans[i], rows[i], str(out)))
 
-    if workers > 1 and len(pending) > 1:
-        with Pool(processes=workers) as pool:
-            pool.map(_render_identity_star, pending, chunksize=1)
+    workers = min(workers, len(pending))
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for _ in pool.map(_render_identity_star, pending):
+                    pass
+        except BrokenProcessPool as exc:
+            raise DataError(
+                f"a dataset worker process died while building {out}: {exc}") from exc
     else:
         for task in pending:
             _render_identity_star(task)
@@ -227,14 +249,33 @@ def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
     return pairs
 
 
+def _load_stacked(root, paths: list[str], channel_axis: bool) -> np.ndarray:
+    """Tensor files of one shape as a float64 stack, optionally with a trailing
+    channel axis. Each file is cast into a preallocated array, so the images
+    are never held twice (as a list and as its stack)."""
+    if not paths:
+        raise DataError("manifest has no rows to load")
+    first = load_tensor(Path(root) / paths[0])
+    shape = first.shape + ((1,) if channel_axis else ())
+    stacked = np.empty((len(paths),) + shape)
+    for i, path in enumerate(paths):
+        image = first if i == 0 else load_tensor(Path(root) / path)
+        if image.shape != first.shape:
+            raise DataError(f"{path}: shape {image.shape} differs from "
+                            f"{first.shape} of {paths[0]}")
+        stacked[i] = image.reshape(shape)
+    return stacked
+
+
 def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
 
     RGB models see every row. Heatmap models (one channel) see one frontal
     heatmap per (identity, expression), first row in manifest order; neutral
     rows have none. A rigged row without its heatmap is a DataError for both,
-    as is a manifest without heatmaps for a heatmap model. Images that do not
-    match the model's resolution are a ConfigError.
+    as is a manifest without heatmaps for a heatmap model, or images of
+    different shapes. Images that do not match the model's resolution are a
+    ConfigError.
     """
     size = config.image_size
     pairs = pair_modalities(rows)
@@ -246,9 +287,9 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
         if not first:
             raise DataError("manifest has no heatmap rows for a heatmap model")
         rows = list(first.values())
-        inputs = np.stack([load_heatmap(root, r, size)[..., None] for r in rows])
+        inputs = _load_stacked(root, [r["heatmap_path"] for r in rows], channel_axis=True)
     else:
-        inputs = np.stack([load_rgb(root, r) for r in rows])
+        inputs = _load_stacked(root, [r["rgb_path"] for r in rows], channel_axis=False)
     if inputs.shape[1:3] != (size, size):
         raise ConfigError(
             f"data resolution {inputs.shape[1]}x{inputs.shape[2]} does not "

@@ -38,24 +38,33 @@ def init_optim_state(params: dict, group_of: dict | None = None,
     return state
 
 
+def _check_rate(name: str, value) -> float:
+    rate = float(value)
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ParameterError(f"{name} must be finite and >= 0, got {rate}")
+    return rate
+
+
 def adamw_step(params: dict, grads: dict, state: OptimState, lr,
                betas=(0.9, 0.999), eps: float = 1e-8,
                weight_decay: float | None = None) -> dict:
     """One AdamW update over the parameters named in ``grads``.
 
     ``lr`` is a float applied to everything or a ``{group: float}`` dict
-    resolved through ``state.group_of``. Returns a new parameter dict;
-    parameters without a gradient this step pass through untouched.
+    resolved through ``state.group_of``. Every rate must be finite and
+    >= 0. Returns a new parameter dict; parameters without a gradient this
+    step pass through untouched.
     """
     beta1, beta2 = betas
     wd = state.weight_decay if weight_decay is None else weight_decay
     if isinstance(lr, dict):
+        rates = {group: _check_rate(f"learning rate of group {group!r}", value)
+                 for group, value in lr.items()}
+
         def lr_for(name):
-            return lr[state.group_of.get(name, "default")]
+            return rates[state.group_of.get(name, "default")]
     else:
-        lr_val = float(lr)
-        if lr_val < 0.0:
-            raise ParameterError(f"learning rate must be >= 0, got {lr_val}")
+        lr_val = _check_rate("learning rate", lr)
 
         def lr_for(name):
             return lr_val
@@ -97,11 +106,15 @@ def cosine_lr(epoch: float, total_epochs: int, lr_max: float,
     """Cosine annealing from ``lr_max`` down to ``floor_fraction * lr_max``.
 
     Epochs past ``total_epochs`` clamp to the floor rather than erroring.
+    ``lr_max`` must be finite and >= 0, ``floor_fraction`` in [0, 1].
     """
     if epoch < 0:
         raise ParameterError(f"epoch must be >= 0, got {epoch}")
     if total_epochs <= 0:
         raise ParameterError(f"total_epochs must be positive, got {total_epochs}")
+    _check_rate("lr_max", lr_max)
+    if not 0.0 <= floor_fraction <= 1.0:
+        raise ParameterError(f"floor_fraction must lie in [0, 1], got {floor_fraction}")
     lr_min = floor_fraction * lr_max
     if epoch >= total_epochs:
         return lr_min

@@ -174,6 +174,12 @@ class TestGenerate:
         assert "PAINFORGE_THREADS" in err and f"got {raw}" in err
         assert "Traceback" not in err
 
+    def test_worker_failure_exits_1(self, config_file, capsys, identity_one_fails):
+        assert main(["generate", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate"])  # missing --config

@@ -1,16 +1,21 @@
 """Dataset builder: counts, labels, determinism, resume."""
 
 import hashlib
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from painforge.errors import ConfigError
+from painforge.errors import ConfigError, DataError
+from painforge.facesynth import dataset
 from painforge.facesynth.au import AUVector, pspi_score
 from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
                                          demographic_summary, load_heatmap,
-                                         load_rgb, load_sample)
-from painforge.fileio import file_sha256, read_manifest
+                                         load_model_inputs, load_rgb,
+                                         load_sample)
+from painforge.fileio import file_sha256, read_manifest, save_tensor
+from painforge.model import ModelConfig
 
 
 SPEC = DatasetSpec(identities=3, expressions_per_identity=2, views=(-30.0, 0.0, 30.0),
@@ -91,6 +96,33 @@ class TestRowInvariants:
         assert sample.pspi == pspi_score(sample.au)
         assert sample.heatmap is not None
         assert sample.rgb.shape == (32, 32, 3)
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_inputs_equal_the_stacked_images(self, built, channels):
+        out, _, rows = built
+        config = ModelConfig(image_size=32, in_channels=channels)
+        inputs = load_model_inputs(out, rows, config)[0]
+        if channels == 3:
+            oracle = np.stack([load_rgb(out, r) for r in rows])
+        else:
+            first = {}
+            for r in rows:
+                if r["heatmap_path"]:
+                    first.setdefault((r["identity_id"], r["expression_id"]), r)
+            oracle = np.stack([load_heatmap(out, r, 32)[..., None]
+                               for r in first.values()])
+        assert inputs.dtype == oracle.dtype and inputs.shape == oracle.shape
+        assert inputs.tobytes() == oracle.tobytes()
+
+    def test_frame_of_another_shape_is_a_data_error(self, built, tmp_path):
+        out, _, rows = built
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        save_tensor(copy / rows[4]["rgb_path"], np.zeros((16, 16, 3), np.float32))
+        with pytest.raises(DataError, match=rows[4]["rgb_path"]):
+            load_model_inputs(copy, rows, ModelConfig(image_size=32))
 
 
 class TestDeterminism:
@@ -198,14 +230,96 @@ class TestSpecValidation:
             build_dataset(spec, tmp_path / "out", workers=workers)
         assert not (tmp_path / "out").exists()
 
-    def test_workers_parallel_build_matches_serial(self, tmp_path):
+    def test_workers_parallel_build_matches_serial(self, tmp_path, monkeypatch):
         spec = DatasetSpec(identities=4, expressions_per_identity=1, views=(0.0,),
                            resolution=32, seed=5)
         serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
         m1 = build_dataset(spec, serial, workers=1)
-        m2 = build_dataset(spec, parallel, workers=2)
-        assert file_sha256(m1) == file_sha256(m2)
-        for row in read_manifest(m1):
-            assert file_sha256(serial / row["rgb_path"]) == \
-                file_sha256(parallel / row["rgb_path"])
+        rows = read_manifest(m1)
+        files = [r[k] for r in rows for k in ("rgb_path", "heatmap_path") if r[k]]
+        assert sum(1 for r in rows if r["heatmap_path"]) == 4
+        # two workers asked for, then the default on a host of two CPUs
+        monkeypatch.delenv("PAINFORGE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for name, workers in (("two", 2), ("default", None)):
+            parallel = tmp_path / name
+            m2 = build_dataset(spec, parallel, workers=workers)
+            assert file_sha256(m1) == file_sha256(m2)
+            for path in files:
+                assert file_sha256(serial / path) == file_sha256(parallel / path)
+
+
+class _RecordingExecutor:
+    """Stands in for the process pool: records ``max_workers``, maps in-process."""
+
+    def __init__(self, built, max_workers):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestWorkerCount:
+    SMALL = DatasetSpec(identities=3, expressions_per_identity=1, views=(0.0,),
+                        resolution=8, seed=3)
+
+    @pytest.fixture()
+    def executors(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(dataset, "ProcessPoolExecutor",
+                            lambda max_workers: _RecordingExecutor(built, max_workers))
+        monkeypatch.delenv("PAINFORGE_THREADS", raising=False)
+        return built
+
+    @pytest.mark.parametrize("threads, cpus, identities, expected", [
+        ("64", None, 3, [3]),   # never more workers than identities
+        (None, 8, 2, [2]),      # the default: CPUs this process may use, capped
+        (None, 2, 3, [2]),
+        (None, 1, 3, []),       # one CPU renders in-process
+        ("64", None, 1, []),    # one identity renders in-process
+    ])
+    def test_workers_capped_at_pending_identities(
+            self, executors, monkeypatch, tmp_path, threads, cpus, identities,
+            expected):
+        if threads is not None:
+            monkeypatch.setenv("PAINFORGE_THREADS", threads)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        spec = DatasetSpec(identities=identities, expressions_per_identity=1,
+                           views=(0.0,), resolution=8, seed=3)
+        build_dataset(spec, tmp_path)
+        assert executors == expected
+
+    def test_cpu_count_where_affinity_is_unknown(self, executors, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        build_dataset(self.SMALL, tmp_path)
+        assert executors == [2]
+
+    def test_resume_with_one_identity_pending_builds_no_pool(
+            self, executors, monkeypatch, tmp_path):
+        manifest = build_dataset(self.SMALL, tmp_path, workers=1)
+        rows = read_manifest(manifest)
+        victim = tmp_path / next(r["rgb_path"] for r in rows if r["identity_id"] == 2)
+        original = file_sha256(victim)
+        victim.unlink()
+        monkeypatch.setenv("PAINFORGE_THREADS", "64")
+        build_dataset(self.SMALL, tmp_path, resume=True)
+        assert executors == []
+        assert file_sha256(victim) == original
+
+
+def test_worker_failure_is_a_typed_error(identity_one_fails, tmp_path):
+    with pytest.raises(identity_one_fails) as exc:
+        build_dataset(TestWorkerCount.SMALL, tmp_path / "out")
+    if identity_one_fails is DataError:
+        assert str(tmp_path / "out") in str(exc.value)

@@ -91,3 +91,29 @@ class TestCosineLR:
             head = cosine_lr(epoch, 100, 5e-5)
             backbone = cosine_lr(epoch, 100, 5e-6)
             assert head / backbone == pytest.approx(10.0, rel=1e-12)
+
+
+def _adamw(lr):
+    params = _single(np.ones(3))
+    return adamw_step(params, {"w": np.ones(3)}, init_optim_state(params), lr=lr)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _adamw(float("nan")),
+    lambda: _adamw(float("inf")),
+    lambda: _adamw({"default": -1e-3}),
+    lambda: _adamw({"default": float("nan")}),
+    lambda: _adamw({"default": 1e-3, "heads": float("inf")}),
+    lambda: cosine_lr(3, 4, -1e-3),
+    lambda: cosine_lr(3, 4, float("nan")),
+    lambda: cosine_lr(3, 4, float("inf")),
+    lambda: cosine_lr(3, 4, 1e-3, floor_fraction=-1.0),
+    lambda: cosine_lr(3, 4, 1e-3, floor_fraction=1.5),
+    lambda: cosine_lr(3, 4, 1e-3, floor_fraction=float("nan")),
+], ids=["adamw lr nan", "adamw lr inf", "adamw group lr -1e-3",
+        "adamw group lr nan", "adamw unused group lr inf", "cosine lr_max -1e-3",
+        "cosine lr_max nan", "cosine lr_max inf", "cosine floor -1", "cosine floor 1.5",
+        "cosine floor nan"])
+def test_rates_out_of_range_rejected(call):
+    with pytest.raises(ParameterError):
+        call()
