@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from . import tensor as T
 from .fileio import read_manifest
 from .facesynth.dataset import load_model_inputs
 from .metrics import FoldPlan, PredictionSet, evaluation_report, subject_kfold
@@ -16,7 +17,8 @@ def prediction_set_from_manifest(params, manifest_path,
     manifest_path = Path(manifest_path)
     inputs, pspi, au, subjects = load_model_inputs(
         manifest_path.parent, read_manifest(manifest_path), params.config)
-    probs, au_pred, _ = predict(inputs, params, batch_size)
+    logits, au_pred, _ = predict(inputs, params, batch_size)
+    probs = T.softmax(logits, axis=-1).data
     return PredictionSet(pspi_probs=probs, au_pred=au_pred, true_pspi=pspi,
                          true_au=au, subject_id=subjects)
 

@@ -249,20 +249,33 @@ def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
     return pairs
 
 
-def _load_stacked(root, paths: list[str], channel_axis: bool) -> np.ndarray:
-    """Tensor files of one shape as a float64 stack, optionally with a trailing
-    channel axis. Each file is cast into a preallocated array, so the images
-    are never held twice (as a list and as its stack)."""
+def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarray:
+    """Model inputs for ``config`` as one preallocated float64 stack, with a
+    channel axis for heatmap models; a None path is the all-zero heatmap of a
+    neutral frame. The first file must have the model's resolution
+    (ConfigError) and every other image its shape (DataError naming the file).
+    """
     if not paths:
         raise DataError("manifest has no rows to load")
-    first = load_tensor(Path(root) / paths[0])
-    shape = first.shape + ((1,) if channel_axis else ())
+    size = config.image_size
+
+    def read(path):
+        return (np.zeros((size, size)) if path is None
+                else load_tensor(Path(root) / path))
+
+    lead = next((i for i, path in enumerate(paths) if path is not None), 0)
+    first = read(paths[lead])
+    if first.shape[:2] != (size, size):
+        raise ConfigError(
+            f"data resolution {first.shape[0]}x{first.shape[1]} does not "
+            f"match model config {size}x{size}")
+    shape = first.shape + ((1,) if config.in_channels == 1 else ())
     stacked = np.empty((len(paths),) + shape)
     for i, path in enumerate(paths):
-        image = first if i == 0 else load_tensor(Path(root) / path)
+        image = first if i == lead else read(path)
         if image.shape != first.shape:
             raise DataError(f"{path}: shape {image.shape} differs from "
-                            f"{first.shape} of {paths[0]}")
+                            f"{first.shape} of {paths[lead]}")
         stacked[i] = image.reshape(shape)
     return stacked
 
@@ -273,11 +286,9 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     RGB models see every row. Heatmap models (one channel) see one frontal
     heatmap per (identity, expression), first row in manifest order; neutral
     rows have none. A rigged row without its heatmap is a DataError for both,
-    as is a manifest without heatmaps for a heatmap model, or images of
-    different shapes. Images that do not match the model's resolution are a
-    ConfigError.
+    as is a manifest without heatmaps for a heatmap model. The images are
+    checked by ``load_stacked``.
     """
-    size = config.image_size
     pairs = pair_modalities(rows)
     if config.in_channels == 1:
         first = {}
@@ -287,14 +298,10 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
         if not first:
             raise DataError("manifest has no heatmap rows for a heatmap model")
         rows = list(first.values())
-        inputs = _load_stacked(root, [r["heatmap_path"] for r in rows], channel_axis=True)
+        paths = [r["heatmap_path"] for r in rows]
     else:
-        inputs = _load_stacked(root, [r["rgb_path"] for r in rows], channel_axis=False)
-    if inputs.shape[1:3] != (size, size):
-        raise ConfigError(
-            f"data resolution {inputs.shape[1]}x{inputs.shape[2]} does not "
-            f"match model config {size}x{size}")
-    return (inputs,
+        paths = [r["rgb_path"] for r in rows]
+    return (load_stacked(root, paths, config),
             np.array([r["pspi"] for r in rows], dtype=np.int64),
             np.array([r["au"] for r in rows], dtype=np.float64),
             np.array([r["split_subject_id"] for r in rows], dtype=np.int64))

@@ -111,15 +111,6 @@ class ModelOutput:
     patch_features: Tensor       # (B, N, D)
     attention_maps: Tensor | None  # (B, 6, N); None without AU queries
 
-    def detach(self) -> "ModelOutput":
-        return ModelOutput(
-            pspi_logits=self.pspi_logits.detach(),
-            au_pred=self.au_pred.detach(),
-            cls_feature=self.cls_feature.detach(),
-            patch_features=self.patch_features.detach(),
-            attention_maps=None if self.attention_maps is None
-            else self.attention_maps.detach())
-
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     # Inverse-CDF sampling of a normal truncated to +/- 2 sigma.
@@ -213,7 +204,8 @@ def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise DimensionError(f"expected B x H x W x C images, got {images.shape}")
-    images = (images - images.mean(axis=(1, 2, 3), keepdims=True)) * 2.0
+    images = images - images.mean(axis=(1, 2, 3), keepdims=True)
+    images *= 2.0  # in place: one batch-sized temporary, the same bits
     patches = patchify(images, config.patch_size)
     if patches.shape[1] != config.num_patches:
         raise DimensionError(
@@ -349,15 +341,17 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
 
 
 def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
-    """Eval-mode inference returning numpy (pspi_probs, au_pred, cls_features)."""
+    """Eval-mode inference in batches of ``batch_size``, returning numpy
+    (pspi_logits, au_pred, cls_features); softmax the logits for probabilities.
+    The last bits of the outputs can depend on ``batch_size``."""
     constant = params.detach()
-    probs, aus, features = [], [], []
+    logits, aus, features = [], [], []
     for lo in range(0, images.shape[0], batch_size):
         out = forward(images[lo:lo + batch_size], constant, training=False)
-        probs.append(T.softmax(out.pspi_logits, axis=-1).data)
+        logits.append(out.pspi_logits.data)
         aus.append(out.au_pred.data)
         features.append(out.cls_feature.data)
-    return np.concatenate(probs), np.concatenate(aus), np.concatenate(features)
+    return np.concatenate(logits), np.concatenate(aus), np.concatenate(features)
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -46,17 +46,15 @@ def _check_rate(name: str, value) -> float:
 
 
 def adamw_step(params: dict, grads: dict, state: OptimState, lr,
-               betas=(0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float | None = None) -> dict:
+               betas=(0.9, 0.999), eps: float = 1e-8) -> dict:
     """One AdamW update over the parameters named in ``grads``.
 
     ``lr`` is a float applied to everything or a ``{group: float}`` dict
     resolved through ``state.group_of``. Every rate must be finite and
-    >= 0. Returns a new parameter dict; parameters without a gradient this
-    step pass through untouched.
+    >= 0; the weight decay is ``state.weight_decay``. Returns a new parameter
+    dict; parameters without a gradient this step pass through untouched.
     """
     beta1, beta2 = betas
-    wd = state.weight_decay if weight_decay is None else weight_decay
     if isinstance(lr, dict):
         rates = {group: _check_rate(f"learning rate of group {group!r}", value)
                  for group, value in lr.items()}
@@ -95,7 +93,7 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr,
         step = m / (1.0 - beta1 ** t)
         step *= step_lr
         step /= denom
-        updated = theta - step_lr * wd * theta
+        updated = theta - step_lr * state.weight_decay * theta
         updated -= step
         out[name] = updated
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError, MetricError
 from .fileio import dump_json_line, read_manifest
-from .facesynth.dataset import load_heatmap, load_model_inputs, pair_modalities
+from .facesynth.dataset import load_model_inputs, load_stacked, pair_modalities
 from .metrics import macro_auroc, subject_holdout
 from .model import (ModelConfig, ModelOutput, ModelParams, forward,
                     init_params, load_checkpoint, predict, save_checkpoint)
@@ -208,9 +208,9 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
     def validation_auroc() -> float | None:
         if val_idx.size == 0:
             return None
-        probs, _, _ = predict(inputs[val_idx], params, config.batch_size)
+        logits, _, _ = predict(inputs[val_idx], params, config.batch_size)
         try:
-            return macro_auroc(probs, pspi[val_idx])
+            return macro_auroc(T.softmax(logits, axis=-1).data, pspi[val_idx])
         except MetricError:
             return None
 
@@ -236,10 +236,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
                           run_seed=config.seed, step=global_step)
             teacher_out = None
             if teacher_arrays is not None:
-                teacher_out = TeacherSignals(
-                    pspi_logits=Tensor(teacher_arrays["pspi_logits"][batch]),
-                    au_pred=Tensor(teacher_arrays["au_pred"][batch]),
-                    cls_feature=Tensor(teacher_arrays["cls_feature"][batch]))
+                teacher_out = TeacherSignals(*(Tensor(a[batch]) for a in teacher_arrays))
             total, terms = compose_loss(out, teacher_out,
                                         {"pspi": pspi[batch], "au": au[batch]},
                                         weights)
@@ -247,8 +244,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
             grads = {n: t.grad for n, t in params.tensors.items()
                      if t.grad is not None}
             updated = adamw_step({n: params.tensors[n].data for n in grads},
-                                 grads, state, lr, betas=config.betas,
-                                 weight_decay=config.weight_decay)
+                                 grads, state, lr, betas=config.betas)
             for name, value in updated.items():
                 params.tensors[name].assign(value)
             for name, value in terms.items():
@@ -292,30 +288,19 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
 
 def _precompute_teacher_signals(pairs, root, teacher: ModelParams,
                                 batch_size: int):
-    """Teacher outputs per unique heatmap, gathered back per student frame.
+    """Teacher outputs per unique heatmap, gathered back per student frame:
+    (pspi_logits, au_pred, cls_feature), the field order of TeacherSignals.
 
-    Neutral frames share the key None, whose heatmap is all zeros.
+    The heatmaps run in first-appearance order, in batches of ``batch_size``;
+    neutral frames share the key None, whose heatmap is all zeros.
     """
-    resolution = teacher.config.image_size
     index_of = {}
     for _, heatmap_path in pairs:
         index_of.setdefault(heatmap_path, len(index_of))
-    stacked = np.stack([load_heatmap(root, {"heatmap_path": p}, resolution)[..., None]
-                        for p in index_of])
-    constant = teacher.detach()
-    logits, au_pred, cls = [], [], []
-    for lo in range(0, stacked.shape[0], batch_size):
-        out = forward(stacked[lo:lo + batch_size], constant, training=False)
-        logits.append(out.pspi_logits.data)
-        au_pred.append(out.au_pred.data)
-        cls.append(out.cls_feature.data)
-    logits = np.concatenate(logits)
-    au_pred = np.concatenate(au_pred)
-    cls = np.concatenate(cls)
-
+    outputs = predict(load_stacked(root, list(index_of), teacher.config),
+                      teacher, batch_size)
     gather = np.array([index_of[p] for _, p in pairs])
-    return {"pspi_logits": logits[gather], "au_pred": au_pred[gather],
-            "cls_feature": cls[gather]}
+    return tuple(out[gather] for out in outputs)
 
 
 def train_student(manifest_path, out_dir, teacher_checkpoint=None,

@@ -226,6 +226,19 @@ class TestTrainEvaluate:
                      "--teacher", "whatever", "--config", str(config_file)])
         assert code == 2
 
+    def test_student_with_teacher_of_another_resolution_exits_2(self, generated,
+                                                                tmp_path, capsys):
+        config_file, manifest = generated
+        teacher = save_checkpoint(
+            init_params(ModelConfig(image_size=64, patch_size=16, hidden_dim=32,
+                                    num_layers=1, num_heads=2, in_channels=1), 0),
+            tmp_path / "teacher64")
+        code = main(["train", "--role", "student", "--data", str(manifest),
+                     "--teacher", str(teacher), "--config", str(config_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:")
+        assert "32x32" in err and "64x64" in err and "Traceback" not in err
+
     def test_teacher_on_rgb_only_manifest_exits_1(self, generated, tmp_path):
         config_file, manifest = generated
         from painforge.fileio import write_manifest

@@ -1,6 +1,9 @@
 """Loss composition, modality pairing, and the training loop contracts."""
 
 import dataclasses
+import hashlib
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ import pytest
 from painforge import training
 from painforge.errors import ConfigError, DataError, NumericError
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
-from painforge.fileio import read_manifest
-from painforge.model import ModelConfig, init_params, load_checkpoint
+from painforge.evaluation import evaluate_model
+from painforge.fileio import read_manifest, save_tensor, write_manifest
+from painforge.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from painforge.tensor import Tensor
 from painforge.training import (LossWeights, TeacherSignals, TrainConfig,
                                 compose_loss, pair_modalities, train_student,
@@ -364,6 +368,88 @@ class TestTrainStudent:
             assert record["lr_backbone"] == cosine_lr(epoch, 4, config.lr_backbone)
             assert record["lr_heads"] == cosine_lr(epoch, 4, config.lr_heads)
             assert record["lr_heads"] / record["lr_backbone"] == pytest.approx(10.0)
+
+
+def heatmap_teacher(directory, image_size=32):
+    """An untrained one-channel checkpoint whose hidden dim matches MODEL32."""
+    config = dataclasses.replace(MODEL32, image_size=image_size, in_channels=1)
+    return save_checkpoint(init_params(config, 0), directory)
+
+
+class TestDistillationInputs:
+    CONFIG = TrainConfig(epochs=1, freeze_epochs=0, batch_size=8, seed=1,
+                         val_fraction=0.0)
+
+    def test_teacher_of_another_resolution_is_a_config_error(self, small_data,
+                                                              tmp_path):
+        _, manifest = small_data
+        teacher = heatmap_teacher(tmp_path / "t64", image_size=64)
+        with pytest.raises(ConfigError) as err:
+            train_student(manifest, tmp_path / "s", teacher_checkpoint=teacher,
+                          model_config=MODEL32, train_config=self.CONFIG)
+        assert "32x32" in str(err.value) and "64x64" in str(err.value)
+
+    def test_heatmap_of_another_shape_is_a_data_error(self, small_data, tmp_path):
+        out, manifest = small_data
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        heatmaps = list(dict.fromkeys(r["heatmap_path"] for r in read_manifest(manifest)
+                                      if r["heatmap_path"]))
+        save_tensor(copy / heatmaps[-1], np.zeros((16, 16), np.float32))
+        with pytest.raises(DataError, match=heatmaps[-1]):
+            train_student(copy / manifest.name, tmp_path / "s",
+                          teacher_checkpoint=heatmap_teacher(tmp_path / "t"),
+                          model_config=MODEL32, train_config=self.CONFIG)
+
+    def test_all_neutral_manifest_distils_from_the_zero_heatmap(self, small_data,
+                                                               tmp_path):
+        out, manifest = small_data
+        shutil.copytree(out, tmp_path / "data")
+        neutral = tmp_path / "data" / "neutral.jsonl"
+        write_manifest(neutral, [r for r in read_manifest(manifest)
+                                 if r["expression_id"] is None])
+        _, report = train_student(neutral, tmp_path / "s",
+                                  teacher_checkpoint=heatmap_teacher(tmp_path / "t"),
+                                  model_config=MODEL32, train_config=self.CONFIG)
+        assert report.role == "student_distilled"
+        assert report.epochs[0]["loss_pspi_distill"] > 0.0
+
+    def test_only_training_mode_forward_calls(self, small_data, tmp_path,
+                                              monkeypatch):
+        # Eval-mode passes, the teacher's included, go through ``predict``.
+        _, manifest = small_data
+        modes = []
+        real_forward = training.forward
+
+        def spy(images, params, training=False, *args, **kwargs):
+            modes.append(training)
+            return real_forward(images, params, training, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", spy)
+        train_student(manifest, tmp_path / "s",
+                      teacher_checkpoint=heatmap_teacher(tmp_path / "t"),
+                      model_config=MODEL32,
+                      train_config=dataclasses.replace(self.CONFIG, val_fraction=0.3))
+        assert modes and all(modes)
+
+    def test_pinned_distillation_bytes(self, small_data, tmp_path):
+        # Pins a teacher -> distilled student -> evaluation run byte for byte:
+        # the student's report and checkpoint, and both evaluation reports.
+        _, manifest = small_data
+        config = TrainConfig(epochs=2, freeze_epochs=1, lr_backbone=3e-4,
+                             lr_heads=3e-3, batch_size=8, seed=6, val_fraction=0.3)
+        teacher, _ = train_teacher(manifest, tmp_path / "t", model_config=MODEL32,
+                                   train_config=config)
+        student, _ = train_student(manifest, tmp_path / "s", teacher_checkpoint=teacher,
+                                   model_config=MODEL32, train_config=config)
+        digest = hashlib.sha256((student.parent / "train_report.jsonl").read_bytes())
+        for path in sorted(student.iterdir()):
+            digest.update(path.name.encode() + path.read_bytes())
+        for ckpt in (teacher, student):
+            report = evaluate_model(ckpt, manifest, k_folds=3, batch_size=5)
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == \
+            "a704b9b841271e3f3b01601a7efe3305307505cb4509bc4b0e570ed035683201"
 
 
 class TestTrainReport:
