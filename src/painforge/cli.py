@@ -89,13 +89,12 @@ def _train_stage(config: RunConfig, stage: str, role: str, manifest: Path,
     t0 = time.perf_counter()
     if role == "teacher":
         ckpt, report = train_teacher(
-            manifest, out_dir, model_config=config.model_config(in_channels=1),
+            manifest, out_dir, model_config=config.model_config(),
             train_config=config.train_config(), loss_weights=config.loss_weights())
     else:
         ckpt, report = train_student(
             manifest, out_dir, teacher_checkpoint=teacher_ckpt,
-            model_config=config.model_config(in_channels=3,
-                                             use_au_queries=role != "baseline"),
+            model_config=config.model_config(use_au_queries=role != "baseline"),
             train_config=config.train_config(), loss_weights=config.loss_weights())
     RunLedger(config.out_root).append(
         f"train_{stage}", config.hash(), config.seed, str(manifest),

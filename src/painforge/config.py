@@ -120,8 +120,7 @@ class RunConfig:
                            pspi_distribution=dist,
                            seed=self.seed)
 
-    def model_config(self, in_channels: int = 3,
-                     use_au_queries: bool = True) -> ModelConfig:
+    def model_config(self, use_au_queries: bool = True) -> ModelConfig:
         return ModelConfig(image_size=self.get("dataset.resolution"),
                            patch_size=self.get("model.patch_size"),
                            hidden_dim=self.get("model.hidden_dim"),
@@ -129,7 +128,6 @@ class RunConfig:
                            num_heads=self.get("model.num_heads"),
                            mlp_ratio=self.get("model.mlp_ratio"),
                            dropout_p=self.get("model.dropout"),
-                           in_channels=in_channels,
                            use_au_queries=use_au_queries)
 
     def train_config(self) -> TrainConfig:

@@ -7,7 +7,7 @@ from pathlib import Path
 from . import tensor as T
 from .fileio import read_manifest
 from .facesynth.dataset import load_model_inputs
-from .metrics import FoldPlan, PredictionSet, evaluation_report, subject_kfold
+from .metrics import PredictionSet, evaluation_report, subject_kfold
 from .model import load_checkpoint, predict
 
 
@@ -23,18 +23,17 @@ def prediction_set_from_manifest(params, manifest_path,
                          true_au=au, subject_id=subjects)
 
 
-def evaluate_model(checkpoint_dir, manifest_path, fold_plan: FoldPlan | None = None,
-                   k_folds: int | None = None, thresholds=(2, 3),
-                   batch_size: int = 64, seed: int = 0) -> dict:
+def evaluate_model(checkpoint_dir, manifest_path, k_folds: int | None = None,
+                   thresholds=(2, 3), batch_size: int = 64, seed: int = 0) -> dict:
     """Inference plus the full metric battery, per fold and aggregated.
 
-    Pass either an explicit ``fold_plan``, ``k_folds`` to derive one from the
-    manifest's subjects, or neither for a single holdout block.
+    With ``k_folds``, the manifest's subjects split into that many folds drawn
+    from ``seed``; without, the whole manifest is one block.
     """
     params = load_checkpoint(checkpoint_dir)
     pred = prediction_set_from_manifest(params, manifest_path, batch_size)
-    if fold_plan is None and k_folds is not None:
-        fold_plan = subject_kfold(pred.subject_id.tolist(), k_folds, seed)
+    fold_plan = (None if k_folds is None
+                 else subject_kfold(pred.subject_id.tolist(), k_folds, seed))
     report = evaluation_report(pred, fold_plan, thresholds)
     report["checkpoint_config"] = params.config.to_dict()
     return report

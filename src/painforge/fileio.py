@@ -76,14 +76,21 @@ def read_manifest(path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = []
-    for n, line in enumerate(path.read_text().splitlines()):
+    for n, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: bad JSON on line {n + 1}") from exc
+            raise DataError(f"{path}: bad JSON on line {n}") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: line {n} is not a JSON object")
+        rows.append(row)
     if not rows:
         raise DataError(f"manifest is empty: {path}")
     return rows

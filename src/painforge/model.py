@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as sp_special
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 from .fileio import load_tensor, save_tensor
 from .rng import STREAM_DROPOUT, STREAM_INIT, keyed_rng
 from .tensor import Tensor
@@ -151,17 +151,13 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         b(pre + "mlp.b2", (d,))
 
     au_hidden = max(1, d // 2)
+    au_out = 1 if config.use_au_queries else config.num_aus
     if config.use_au_queries:
         w("au_queries", (config.num_aus, d))
-        w("au_head.w1", (d, au_hidden))
-        b("au_head.b1", (au_hidden,))
-        w("au_head.w2", (au_hidden, 1))
-        b("au_head.b2", (1,))
-    else:
-        w("au_head.w1", (d, au_hidden))
-        b("au_head.b1", (au_hidden,))
-        w("au_head.w2", (au_hidden, config.num_aus))
-        b("au_head.b2", (config.num_aus,))
+    w("au_head.w1", (d, au_hidden))
+    b("au_head.b1", (au_hidden,))
+    w("au_head.w2", (au_hidden, au_out))
+    b("au_head.b2", (au_out,))
 
     h1, h2 = max(1, d // 2), max(1, d // 4)
     arrays["pspi_head.ln.g"] = np.ones(d)
@@ -378,7 +374,10 @@ def load_checkpoint(directory) -> ModelParams:
     index_path = directory / "index.json"
     if not index_path.exists():
         raise ConfigError(f"no checkpoint index at {index_path}")
-    index = json.loads(index_path.read_text())
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{index_path} does not parse: {exc}") from exc
     config = ModelConfig.from_dict(index["config"])
     params = ModelParams(config=config)
     arrays = {}

@@ -45,28 +45,18 @@ def _check_rate(name: str, value) -> float:
     return rate
 
 
-def adamw_step(params: dict, grads: dict, state: OptimState, lr,
+def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
                betas=(0.9, 0.999), eps: float = 1e-8) -> dict:
     """One AdamW update over the parameters named in ``grads``.
 
-    ``lr`` is a float applied to everything or a ``{group: float}`` dict
-    resolved through ``state.group_of``. Every rate must be finite and
+    ``lr`` is a ``{group: rate}`` dict; a parameter's group comes from
+    ``state.group_of`` ("default" when absent). Every rate must be finite and
     >= 0; the weight decay is ``state.weight_decay``. Returns a new parameter
     dict; parameters without a gradient this step pass through untouched.
     """
     beta1, beta2 = betas
-    if isinstance(lr, dict):
-        rates = {group: _check_rate(f"learning rate of group {group!r}", value)
-                 for group, value in lr.items()}
-
-        def lr_for(name):
-            return rates[state.group_of.get(name, "default")]
-    else:
-        lr_val = _check_rate("learning rate", lr)
-
-        def lr_for(name):
-            return lr_val
-
+    rates = {group: _check_rate(f"learning rate of group {group!r}", value)
+             for group, value in lr.items()}
     out = dict(params)
     for name, g in grads.items():
         theta = params[name]
@@ -80,7 +70,7 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr,
             state.param_steps[name] = 0
         state.param_steps[name] += 1
         t = state.param_steps[name]
-        step_lr = lr_for(name)
+        step_lr = rates[state.group_of.get(name, "default")]
         # theta - lr*wd*theta - lr*m_hat / (sqrt(v_hat) + eps), with the moments
         # updated in place and fewer temporaries; every rounding is the same.
         m, v = state.m[name], state.v[name]

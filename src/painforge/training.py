@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, MetricError
+from .errors import ConfigError, MetricError
 from .fileio import dump_json_line, read_manifest
 from .facesynth.dataset import load_model_inputs, load_stacked, pair_modalities
 from .metrics import macro_auroc, subject_holdout
@@ -26,7 +26,6 @@ from .model import (ModelConfig, ModelOutput, ModelParams, forward,
                     init_params, load_checkpoint, predict, save_checkpoint)
 from .optim import adamw_step, cosine_lr, init_optim_state
 from .rng import STREAM_SHUFFLE, STREAM_SPLIT, keyed_rng
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,6 @@ class TrainConfig:
 
 
 @dataclass
-class TeacherSignals:
-    """Detached teacher outputs aligned to a student batch."""
-
-    pspi_logits: Tensor
-    au_pred: Tensor
-    cls_feature: Tensor
-
-
-@dataclass
 class TrainReport:
     role: str
     seed: int
@@ -133,49 +123,37 @@ class TrainReport:
 TERM_NAMES = ("pspi", "au", "pspi_distill", "au_distill", "feature_distill")
 
 
-def compose_loss(student_out: ModelOutput, teacher_out, labels: dict,
+def compose_loss(student_out: ModelOutput, teacher, pspi_labels, au_labels,
                  weights: LossWeights):
     """Weighted sum of the supervised and distillation objectives.
 
-    ``teacher_out`` may be None (distillation terms drop out) or any object
-    with pspi_logits / au_pred / cls_feature tensors, which are detached here.
+    ``teacher`` is None (distillation terms drop out) or the
+    ``(pspi_logits, au_pred, cls_feature)`` arrays that ``predict`` returns,
+    sliced to the batch; arrays are constants, so no gradient reaches them.
+    ``pspi_labels`` are integer classes and ``au_labels`` match ``au_pred``.
     Returns (total loss tensor, per-term float breakdown).
     """
-    pspi_labels = np.asarray(labels["pspi"], dtype=np.int64)
-    au_labels = np.asarray(labels["au"], dtype=np.float64)
-    if au_labels.shape != student_out.au_pred.shape:
-        raise DimensionError(
-            f"AU labels {au_labels.shape} do not match predictions "
-            f"{student_out.au_pred.shape}")
-
-    computed = {
-        "pspi": T.cross_entropy(student_out.pspi_logits, pspi_labels),
-        "au": T.mse(student_out.au_pred, Tensor(au_labels)),
-    }
-    if teacher_out is not None:
+    computed = {"pspi": T.cross_entropy(student_out.pspi_logits, pspi_labels),
+                "au": T.mse(student_out.au_pred, au_labels)}
+    if teacher is not None:
+        logits, au_pred, cls_feature = teacher
         computed["pspi_distill"] = T.kl_temperature(
-            teacher_out.pspi_logits.detach(), student_out.pspi_logits,
-            weights.temperature)
-        computed["au_distill"] = T.mse(student_out.au_pred,
-                                       teacher_out.au_pred.detach())
-        computed["feature_distill"] = T.mse(student_out.cls_feature,
-                                            teacher_out.cls_feature.detach())
+            logits, student_out.pspi_logits, weights.temperature)
+        computed["au_distill"] = T.mse(student_out.au_pred, au_pred)
+        computed["feature_distill"] = T.mse(student_out.cls_feature, cls_feature)
 
     total = None
     terms = {}
     for name in TERM_NAMES:
-        weight = getattr(weights, name)
-        if name in computed:
-            terms[name] = computed[name].item()
-        else:
-            terms[name] = 0.0
+        loss, weight = computed.get(name), getattr(weights, name)
+        terms[name] = 0.0 if loss is None else loss.item()
         # Zero-weight terms are skipped entirely so the computation graph of a
         # weightless distillation run matches the supervised run bit for bit.
-        if name in computed and weight != 0.0:
-            piece = T.mul(computed[name], weight)
+        if loss is not None and weight != 0.0:
+            piece = T.mul(loss, weight)
             total = piece if total is None else T.add(total, piece)
     if total is None:
-        total = Tensor(np.zeros(()))
+        total = T.Tensor(np.zeros(()))
     terms["total"] = total.item()
     return total, terms
 
@@ -234,11 +212,9 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
             batch = order[lo:lo + config.batch_size]
             out = forward(inputs[batch], params, training=True,
                           run_seed=config.seed, step=global_step)
-            teacher_out = None
-            if teacher_arrays is not None:
-                teacher_out = TeacherSignals(*(Tensor(a[batch]) for a in teacher_arrays))
-            total, terms = compose_loss(out, teacher_out,
-                                        {"pspi": pspi[batch], "au": au[batch]},
+            teacher = (None if teacher_arrays is None
+                       else tuple(a[batch] for a in teacher_arrays))
+            total, terms = compose_loss(out, teacher, pspi[batch], au[batch],
                                         weights)
             total.backward()
             grads = {n: t.grad for n, t in params.tensors.items()
@@ -289,7 +265,8 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
 def _precompute_teacher_signals(pairs, root, teacher: ModelParams,
                                 batch_size: int):
     """Teacher outputs per unique heatmap, gathered back per student frame:
-    (pspi_logits, au_pred, cls_feature), the field order of TeacherSignals.
+    the (pspi_logits, au_pred, cls_feature) arrays of ``predict``, the
+    ``teacher`` form that ``compose_loss`` takes once sliced to a batch.
 
     The heatmaps run in first-appearance order, in batches of ``batch_size``;
     neutral frames share the key None, whose heatmap is all zeros.

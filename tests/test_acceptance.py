@@ -111,21 +111,16 @@ def test_criterion_2_gradient_correctness():
         params.tensors[name] = Tensor(rng.normal(0.0, 0.4, size=t.shape),
                                       requires_grad=True)
     images = rng.random((2, 8, 8, 3))
-    labels = {"pspi": np.array([3, 9]), "au": np.abs(rng.normal(size=(2, 6)))}
-    from painforge.model import ModelOutput
-    teacher_out = ModelOutput(
-        pspi_logits=Tensor(rng.normal(size=(2, 17))),
-        au_pred=Tensor(np.abs(rng.normal(size=(2, 6)))),
-        cls_feature=Tensor(rng.normal(size=(2, 16))),
-        patch_features=Tensor(rng.normal(size=(2, 4, 16))),
-        attention_maps=None)
+    pspi_labels, au_labels = np.array([3, 9]), np.abs(rng.normal(size=(2, 6)))
+    teacher = (rng.normal(size=(2, 17)), np.abs(rng.normal(size=(2, 6))),
+               rng.normal(size=(2, 16)))
     weights = LossWeights()
 
     def full_loss_wrt(name):
         def f(x):
             params.tensors[name] = x
             out = forward(images, params, training=False)
-            total, _ = compose_loss(out, teacher_out, labels, weights)
+            total, _ = compose_loss(out, teacher, pspi_labels, au_labels, weights)
             return total
         return f
 
@@ -196,23 +191,27 @@ def test_criterion_4_loss_composition():
                            patch_features=Tensor(rng.normal(size=(4, 2, 16))),
                            attention_maps=None)
 
+    def teacher_arrays(seed):
+        out = outputs(seed)
+        return out.pspi_logits.data, out.au_pred.data, out.cls_feature.data
+
     rng = np.random.default_rng(0)
     for seed in range(1000):
         student = outputs(2 * seed)
-        teacher = outputs(2 * seed + 1)
-        labels = {"pspi": rng.integers(0, 17, size=4),
-                  "au": np.abs(rng.normal(size=(4, 6)))}
-        total, terms = compose_loss(student, teacher, labels, weights)
+        teacher = teacher_arrays(2 * seed + 1)
+        pspi_labels = rng.integers(0, 17, size=4)
+        au_labels = np.abs(rng.normal(size=(4, 6)))
+        total, terms = compose_loss(student, teacher, pspi_labels, au_labels,
+                                    weights)
         expected = (1.0 * terms["pspi"] + 1.0 * terms["au"]
                     + 0.1 * terms["pspi_distill"] + 0.3 * terms["au_distill"]
                     + 0.5 * terms["feature_distill"])
         assert abs(total.item() - expected) < 1e-6
 
     student = outputs(77)
-    twin = outputs(77)
-    _, terms = compose_loss(student, twin,
-                            {"pspi": np.zeros(4, dtype=int),
-                             "au": np.zeros((4, 6))}, weights)
+    twin = teacher_arrays(77)
+    _, terms = compose_loss(student, twin, np.zeros(4, dtype=int),
+                            np.zeros((4, 6)), weights)
     assert terms["pspi_distill"] == 0.0
     assert terms["au_distill"] == 0.0
     assert terms["feature_distill"] == 0.0

@@ -130,8 +130,8 @@ class TestConfig:
         spec = config.dataset_spec()
         assert spec.views == (0.0,)
         assert spec.identities == 8
-        model = config.model_config(in_channels=1)
-        assert model.in_channels == 1 and model.hidden_dim == 32
+        model = config.model_config()
+        assert model.hidden_dim == 32
 
 
 class TestGenerate:
@@ -261,6 +261,19 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert code == 1
         assert victim.name in err and "Traceback" not in err
+
+    def test_evaluate_unparsable_checkpoint_index_exits_1(self, tmp_path, capsys):
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,
+                                                       hidden_dim=16,
+                                                       num_layers=1,
+                                                       num_heads=2), 0),
+                               tmp_path / "ckpt")
+        (ckpt / "index.json").write_text("{not json\n")
+        code = main(["evaluate", "--ckpt", str(ckpt),
+                     "--data", str(tmp_path / "manifest.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "index.json" in err and "Traceback" not in err
 
     def test_evaluate_non_integer_thresholds_exits_2(self, tmp_path, capsys):
         code = main(["evaluate", "--ckpt", str(tmp_path / "ckpt"),

@@ -103,3 +103,15 @@ class TestManifest:
         path.write_text('{"ok": 1}\n{broken\n')
         with pytest.raises(DataError):
             read_manifest(path)
+
+    def test_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"ok": 1}\n\n[1, 2]\n')
+        with pytest.raises(DataError, match=r"m\.jsonl: line 3 is not a JSON object"):
+            read_manifest(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"name": "\xff"}\n')
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_manifest(path)

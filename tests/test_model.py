@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from painforge import tensor as T
-from painforge.errors import ConfigError, DimensionError, NumericError
+from painforge.errors import ConfigError, DataError, DimensionError, NumericError
 from painforge.model import (ModelConfig, au_cross_attention, au_head,
                              encoder_forward, forward, init_params,
                              load_checkpoint, patch_embed, pspi_head,
@@ -364,3 +364,12 @@ class TestCheckpoint:
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "nothing")
+
+    def test_index_that_does_not_parse(self, tmp_path):
+        cfg = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
+                          num_layers=1, num_heads=2)
+        ckpt = save_checkpoint(init_params(cfg, 5), tmp_path / "ckpt")
+        index = ckpt / "index.json"
+        index.write_text(index.read_text()[:40])
+        with pytest.raises(DataError, match="index.json does not parse"):
+            load_checkpoint(ckpt)

@@ -7,6 +7,9 @@ from painforge.errors import DimensionError, ParameterError
 from painforge.optim import adamw_step, cosine_lr, init_optim_state
 
 
+RATE = {"default": 0.1}  # the rate of every parameter outside a named group
+
+
 def _single(theta):
     return {"w": np.asarray(theta, dtype=np.float64)}
 
@@ -15,7 +18,7 @@ class TestAdamW:
     def test_decay_only_update(self):
         params = _single([2.0, -1.0])
         state = init_optim_state(params, weight_decay=0.01)
-        out = adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1)
+        out = adamw_step(params, {"w": np.zeros(2)}, state, lr=RATE)
         assert np.allclose(out["w"], params["w"] * (1.0 - 0.001))
 
     def test_one_step_closed_form(self):
@@ -23,21 +26,21 @@ class TestAdamW:
         # so theta' = 1 - 0.1 / (1 + eps) ~= 0.9.
         params = _single([1.0])
         state = init_optim_state(params, weight_decay=0.0)
-        out = adamw_step(params, {"w": np.ones(1)}, state, lr=0.1)
+        out = adamw_step(params, {"w": np.ones(1)}, state, lr=RATE)
         assert np.isclose(out["w"][0], 0.9, atol=1e-6)
 
     def test_lr_zero_is_identity_on_parameters(self):
         rng = np.random.default_rng(0)
         params = _single(rng.normal(size=5))
         state = init_optim_state(params, weight_decay=0.0)
-        out = adamw_step(params, {"w": rng.normal(size=5)}, state, lr=0.0)
+        out = adamw_step(params, {"w": rng.normal(size=5)}, state, lr={"default": 0.0})
         assert np.array_equal(out["w"], params["w"])
 
     def test_shape_mismatch(self):
         params = _single([1.0, 2.0])
         state = init_optim_state(params)
         with pytest.raises(DimensionError):
-            adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+            adamw_step(params, {"w": np.zeros(3)}, state, lr=RATE)
 
     def test_group_learning_rates(self):
         params = {"a": np.array([1.0]), "b": np.array([1.0])}
@@ -53,13 +56,13 @@ class TestAdamW:
         # at its own step 1, giving the same magnitude as a fresh parameter.
         fresh = _single([1.0])
         fresh_state = init_optim_state(fresh, weight_decay=0.0)
-        fresh_out = adamw_step(fresh, {"w": np.ones(1)}, fresh_state, lr=0.1)
+        fresh_out = adamw_step(fresh, {"w": np.ones(1)}, fresh_state, lr=RATE)
 
         both = {"w": np.array([1.0]), "other": np.array([1.0])}
         state = init_optim_state(both, weight_decay=0.0)
         for _ in range(9):
-            both = adamw_step(both, {"other": np.ones(1)}, state, lr=0.1)
-        both = adamw_step(both, {"w": np.ones(1)}, state, lr=0.1)
+            both = adamw_step(both, {"other": np.ones(1)}, state, lr=RATE)
+        both = adamw_step(both, {"w": np.ones(1)}, state, lr=RATE)
         assert np.isclose(both["w"][0], fresh_out["w"][0], atol=1e-12)
 
 
@@ -93,14 +96,15 @@ class TestCosineLR:
             assert head / backbone == pytest.approx(10.0, rel=1e-12)
 
 
-def _adamw(lr):
+def _adamw(lr, group_of=None):
     params = _single(np.ones(3))
-    return adamw_step(params, {"w": np.ones(3)}, init_optim_state(params), lr=lr)
+    return adamw_step(params, {"w": np.ones(3)},
+                      init_optim_state(params, group_of), lr=lr)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: _adamw(float("nan")),
-    lambda: _adamw(float("inf")),
+    lambda: _adamw({"heads": float("nan")}, {"w": "heads"}),
+    lambda: _adamw({"heads": float("inf")}, {"w": "heads"}),
     lambda: _adamw({"default": -1e-3}),
     lambda: _adamw({"default": float("nan")}),
     lambda: _adamw({"default": 1e-3, "heads": float("inf")}),

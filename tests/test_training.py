@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from painforge import training
-from painforge.errors import ConfigError, DataError, NumericError
+from painforge.errors import ConfigError, DataError, DimensionError, NumericError
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
 from painforge.evaluation import evaluate_model
 from painforge.fileio import read_manifest, save_tensor, write_manifest
 from painforge.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from painforge.tensor import Tensor
-from painforge.training import (LossWeights, TeacherSignals, TrainConfig,
-                                compose_loss, pair_modalities, train_student,
-                                train_teacher)
+from painforge.training import (LossWeights, TrainConfig, compose_loss,
+                                pair_modalities, train_student, train_teacher)
 
 WEIGHTS = LossWeights()  # paper defaults: 1.0, 1.0, 0.1, 0.3, 0.5, T=4
 
@@ -33,17 +32,23 @@ def synthetic_outputs(seed, batch=4, n_classes=17, dim=16):
         attention_maps=None)
 
 
+def teacher_arrays(seed):
+    """A teacher triple in the form ``predict`` returns."""
+    out = synthetic_outputs(seed)
+    return out.pspi_logits.data, out.au_pred.data, out.cls_feature.data
+
+
 def labels_for(batch=4, seed=0):
+    """(PSPI classes, AU intensities) for a batch."""
     rng = np.random.default_rng(seed)
-    return {"pspi": rng.integers(0, 17, size=batch),
-            "au": np.abs(rng.normal(size=(batch, 6)))}
+    return rng.integers(0, 17, size=batch), np.abs(rng.normal(size=(batch, 6)))
 
 
 class TestComposeLoss:
     def test_weighted_sum_identity(self):
         student = synthetic_outputs(0)
-        teacher = synthetic_outputs(1)
-        total, terms = compose_loss(student, teacher, labels_for(), WEIGHTS)
+        teacher = teacher_arrays(1)
+        total, terms = compose_loss(student, teacher, *labels_for(), WEIGHTS)
         expected = (1.0 * terms["pspi"] + 1.0 * terms["au"]
                     + 0.1 * terms["pspi_distill"] + 0.3 * terms["au_distill"]
                     + 0.5 * terms["feature_distill"])
@@ -53,8 +58,8 @@ class TestComposeLoss:
     def test_weighted_sum_on_many_random_outputs(self):
         for seed in range(50):
             student = synthetic_outputs(2 * seed)
-            teacher = synthetic_outputs(2 * seed + 1)
-            total, terms = compose_loss(student, teacher, labels_for(seed=seed),
+            teacher = teacher_arrays(2 * seed + 1)
+            total, terms = compose_loss(student, teacher, *labels_for(seed=seed),
                                         WEIGHTS)
             expected = sum(getattr(WEIGHTS, k) * terms[k]
                            for k in ("pspi", "au", "pspi_distill", "au_distill",
@@ -63,25 +68,25 @@ class TestComposeLoss:
 
     def test_distill_terms_vanish_when_student_equals_teacher(self):
         student = synthetic_outputs(3)
-        teacher = synthetic_outputs(3)
-        _, terms = compose_loss(student, teacher, labels_for(), WEIGHTS)
+        teacher = teacher_arrays(3)
+        _, terms = compose_loss(student, teacher, *labels_for(), WEIGHTS)
         assert terms["pspi_distill"] == 0.0
         assert terms["au_distill"] == 0.0
         assert terms["feature_distill"] == 0.0
 
     def test_teacher_absent_drops_distill_terms(self):
-        total, terms = compose_loss(synthetic_outputs(0), None, labels_for(),
+        total, terms = compose_loss(synthetic_outputs(0), None, *labels_for(),
                                     WEIGHTS)
         assert terms["pspi_distill"] == 0.0
         assert total.item() == pytest.approx(terms["pspi"] + terms["au"], abs=1e-6)
 
     def test_perfect_predictions_near_zero(self):
         student = synthetic_outputs(0)
-        labels = {"pspi": np.zeros(4, dtype=int), "au": student.au_pred.data.copy()}
         logits = np.zeros((4, 17))
         logits[:, 0] = 1e4
         student.pspi_logits = Tensor(logits)
-        total, _ = compose_loss(student, None, labels, WEIGHTS)
+        total, _ = compose_loss(student, None, np.zeros(4, dtype=int),
+                                student.au_pred.data.copy(), WEIGHTS)
         assert total.item() < 1e-6
 
     def test_hand_computed_weighted_sum(self):
@@ -92,26 +97,22 @@ class TestComposeLoss:
 
     def test_teacher_gradient_absent(self):
         student = synthetic_outputs(0)
-        teacher_logits = Tensor(np.random.default_rng(9).normal(size=(4, 17)),
-                                requires_grad=True)
-        teacher = TeacherSignals(pspi_logits=teacher_logits,
-                                 au_pred=Tensor(np.abs(np.random.default_rng(10).normal(size=(4, 6))),
-                                                requires_grad=True),
-                                 cls_feature=Tensor(np.random.default_rng(11).normal(size=(4, 16)),
-                                                    requires_grad=True))
         student.pspi_logits = Tensor(student.pspi_logits.data, requires_grad=True)
-        total, _ = compose_loss(student, teacher, labels_for(), WEIGHTS)
+        teacher = teacher_arrays(1)
+        before = [a.tobytes() for a in teacher]
+        total, _ = compose_loss(student, teacher, *labels_for(), WEIGHTS)
         total.backward()
-        assert teacher_logits.grad is None
-        assert teacher.au_pred.grad is None
-        assert teacher.cls_feature.grad is None
         assert student.pspi_logits.grad is not None
+        assert [a.tobytes() for a in teacher] == before
 
     def test_label_shape_mismatch(self):
-        with pytest.raises(Exception):
-            compose_loss(synthetic_outputs(0), None,
-                         {"pspi": np.zeros(4, dtype=int), "au": np.zeros((4, 5))},
-                         WEIGHTS)
+        student, (pspi, au) = synthetic_outputs(0), labels_for()
+        logits, au_pred, feature = teacher_arrays(1)
+        for teacher, au_labels in [(None, np.zeros((4, 5))),
+                                   ((logits, au_pred[:, :5], feature), au),
+                                   ((logits[:, :16], au_pred, feature), au)]:
+            with pytest.raises(DimensionError):
+                compose_loss(student, teacher, pspi, au_labels, WEIGHTS)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ConfigError):
