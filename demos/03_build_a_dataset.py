@@ -9,8 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
-                                         demographic_summary, load_sample)
-from painforge.fileio import file_sha256, read_manifest
+                                         demographic_summary)
+from painforge.fileio import file_sha256, load_tensor, read_manifest
 
 out = Path("demo_out/dataset")
 spec = DatasetSpec(identities=12, expressions_per_identity=3,
@@ -28,9 +28,9 @@ print(" ", dict(sorted(scores.items())))
 summary = demographic_summary(rows)
 print("identity demographics:", summary)
 
-sample = load_sample(out, next(r for r in rows if r["expression_id"] is not None))
-print(f"one sample: identity {sample.identity_id}, yaw {sample.camera_yaw}, "
-      f"PSPI {sample.pspi}, rgb {sample.rgb.shape}, "
-      f"heatmap {'present' if sample.heatmap is not None else 'absent'}")
+row = next(r for r in rows if r["expression_id"] is not None)
+print(f"one rigged frame: identity {row['identity_id']}, yaw {row['camera_yaw']}, "
+      f"PSPI {row['pspi']}, rgb {load_tensor(out / row['rgb_path']).shape}, "
+      f"heatmap {load_tensor(out / row['heatmap_path']).shape}")
 
 print("manifest sha256:", file_sha256(manifest)[:16], "(stable across reruns)")

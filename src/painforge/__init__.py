@@ -7,7 +7,7 @@ from .facesynth import (AUVector, DemographicProfile, FaceMesh, apply_au_rig,
                         make_identity_mesh, pspi_score, render_depth,
                         render_heatmap, render_rgb, sample_au_config,
                         sample_demographics)
-from .facesynth.dataset import DatasetSpec, Sample, build_dataset, pair_modalities
+from .facesynth.dataset import DatasetSpec, build_dataset, pair_modalities
 from .metrics import (FoldPlan, PredictionSet, binary_auroc, f1_binary,
                       macro_auroc, subject_kfold, tolerance_accuracy)
 from .model import ModelConfig, ModelOutput, ModelParams, forward, init_params
@@ -24,7 +24,7 @@ __all__ = [
     "AUVector", "DemographicProfile", "FaceMesh", "apply_au_rig",
     "make_identity_mesh", "pspi_score", "render_depth", "render_heatmap",
     "render_rgb", "sample_au_config", "sample_demographics",
-    "DatasetSpec", "Sample", "build_dataset",
+    "DatasetSpec", "build_dataset",
     "FoldPlan", "PredictionSet", "binary_auroc", "f1_binary", "macro_auroc",
     "subject_kfold", "tolerance_accuracy", "evaluate_model",
     "ModelConfig", "ModelOutput", "ModelParams", "forward", "init_params",

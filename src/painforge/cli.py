@@ -103,10 +103,8 @@ def _train_stage(config: RunConfig, stage: str, role: str, manifest: Path,
 
 
 def cmd_train(args) -> int:
-    if args.role == "baseline" and args.teacher:
-        raise ConfigError("--role baseline does not take --teacher")
-    if args.role == "teacher" and args.teacher:
-        raise ConfigError("--role teacher does not take --teacher")
+    if args.teacher and args.role != "student":
+        raise ConfigError(f"--role {args.role} does not take --teacher")
     config = load_config(args.config).override(seed=args.seed, out=args.out)
     ckpt, report = _train_stage(config, args.role, args.role, Path(args.data),
                                 args.teacher)
@@ -135,8 +133,8 @@ def cmd_evaluate(args) -> int:
                           f"(comma-separated integers)") from exc
     t0 = time.perf_counter()
     report = evaluate_model(args.ckpt, args.data,
-                            k_folds=None if args.holdout else args.folds,
-                            thresholds=thresholds, seed=args.seed or 0)
+                            k_folds=args.folds, thresholds=thresholds,
+                            seed=args.seed)
     out_path = Path(args.out) if args.out else Path(args.ckpt).parent / "eval_report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
@@ -149,7 +147,7 @@ def cmd_evaluate(args) -> int:
         print(f"binary @ PSPI >= {threshold}: AUROC {auroc}, "
               f"F1@0.5 {entry['f1_at_0.5']:.4f}, best F1 {entry['f1_best']:.4f}")
     print(f"report: {out_path}")
-    RunLedger(out_path.parent).append("evaluate", "-", args.seed or 0,
+    RunLedger(out_path.parent).append("evaluate", "-", args.seed,
                                       str(args.data), [str(out_path)],
                                       time.perf_counter() - t0)
     return 0
@@ -226,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a manifest")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--folds", type=int, default=None)
-    group.add_argument("--holdout", action="store_true")
+    p.add_argument("--folds", type=int, default=None)
     p.add_argument("--thresholds", default="2,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -65,21 +65,6 @@ class DatasetSpec:
         return self.identities * self.expressions_per_identity
 
 
-@dataclass
-class Sample:
-    """One dataset record, fully materialized in memory."""
-
-    identity_id: int
-    view_id: int
-    camera_yaw: float
-    rgb: np.ndarray
-    au: AUVector
-    pspi: int
-    demographic: DemographicProfile
-    heatmap: np.ndarray | None = None
-    expression_id: int | None = None
-
-
 def _expression_plan(seed: int, identity: int, count: int,
                      distribution) -> list[AUVector]:
     rng = keyed_rng(seed, STREAM_PSPI_TARGET, identity)
@@ -142,36 +127,50 @@ def _render_identity_star(args) -> None:
     _render_identity(*args)
 
 
-def _default_workers() -> int:
-    """``PAINFORGE_THREADS`` if set, else the CPUs this process may run on."""
+def _worker_count() -> int:
+    """``PAINFORGE_THREADS`` (at least 1) if set, else the CPUs this process may use."""
     raw = os.environ.get("PAINFORGE_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError as exc:
         raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
-
-
-def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
-                  resume: bool = False, workers: int | None = None):
-    """Render the full dataset and write its manifest; returns the manifest path.
-
-    With ``resume`` set, identities whose files all exist are skipped; content
-    is deterministic per identity so a resumed build is byte-identical to an
-    uninterrupted one. ``workers`` defaults to ``PAINFORGE_THREADS``, else to
-    the number of CPUs this process may run on, and must be at least 1. It is
-    capped at the number of identities left to render; with one, they render
-    in this process, otherwise in a pool of worker processes. The bytes are
-    the same either way. A worker process that dies raises ``DataError``.
-    """
-    if workers is None:
-        workers = _default_workers()
     if workers < 1:
         raise ConfigError(
             f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
+    return workers
+
+
+def _identity_intact(out: Path, rows: list[dict], res: int) -> bool:
+    """Whether every file the identity's rows name loads with its shape."""
+    shapes = {r["rgb_path"]: (res, res, 3) for r in rows}
+    shapes.update((r["heatmap_path"], (res, res)) for r in rows if r["heatmap_path"])
+    for path, shape in shapes.items():
+        try:
+            if load_tensor(out / path).shape != shape:
+                return False
+        except (OSError, DataError):
+            return False
+    return True
+
+
+def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
+    """Render the full dataset and write its manifest; returns the manifest path.
+
+    With ``resume`` set, an identity is skipped when every file it names loads
+    with the resolution's shape; one whose file is missing, unreadable or of
+    another shape is rendered again. Content is deterministic per identity, so
+    a resumed build is byte-identical to an uninterrupted one. The worker
+    count is ``PAINFORGE_THREADS``, else the number of CPUs this process may
+    run on, and must be at least 1. It is capped at the number of identities
+    left to render; with one, they render in this process, otherwise in a
+    pool of worker processes. The bytes are the same either way. A worker
+    process that dies raises ``DataError``.
+    """
+    workers = _worker_count()
     out = Path(out_dir)
     try:
         (out / "frames").mkdir(parents=True, exist_ok=True)
@@ -179,13 +178,8 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from exc
 
-    config = demographics if demographics is not None else \
-        scale_config(reference_config(), spec.identities)
-    profiles = sample_demographics(config, spec.seed)
-    if len(profiles) != spec.identities:
-        raise ConfigError(
-            f"demographics config yields {len(profiles)} identities, "
-            f"spec wants {spec.identities}")
+    profiles = sample_demographics(scale_config(reference_config(), spec.identities),
+                                   spec.seed)
 
     plans = [_expression_plan(spec.seed, i, spec.expressions_per_identity,
                               spec.pspi_distribution)
@@ -193,12 +187,9 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
     rows = [_identity_rows(spec, i, profiles[i], plans[i])
             for i in range(spec.identities)]
 
-    pending = []
-    for i in range(spec.identities):
-        files = [p for r in rows[i] for p in (r["rgb_path"], r["heatmap_path"]) if p]
-        if resume and all((out / p).exists() for p in files):
-            continue
-        pending.append((spec, profiles[i], plans[i], rows[i], str(out)))
+    pending = [(spec, profiles[i], plans[i], rows[i], str(out))
+               for i in range(spec.identities)
+               if not (resume and _identity_intact(out, rows[i], spec.resolution))]
 
     workers = min(workers, len(pending))
     if workers > 1:
@@ -216,17 +207,6 @@ def build_dataset(spec: DatasetSpec, out_dir, demographics: dict | None = None,
     manifest_path = out / "manifest.jsonl"
     write_manifest(manifest_path, [row for identity in rows for row in identity])
     return manifest_path
-
-
-def load_rgb(root, row: dict) -> np.ndarray:
-    return load_tensor(Path(root) / row["rgb_path"]).astype(np.float64)
-
-
-def load_heatmap(root, row: dict, resolution: int) -> np.ndarray:
-    """The row's heatmap, or an all-zero one for neutral frames."""
-    if row["heatmap_path"] is None:
-        return np.zeros((resolution, resolution))
-    return load_tensor(Path(root) / row["heatmap_path"]).astype(np.float64)
 
 
 def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
@@ -305,21 +285,6 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
             np.array([r["pspi"] for r in rows], dtype=np.int64),
             np.array([r["au"] for r in rows], dtype=np.float64),
             np.array([r["split_subject_id"] for r in rows], dtype=np.int64))
-
-
-def load_sample(root, row: dict) -> Sample:
-    heatmap = None
-    if row["heatmap_path"] is not None:
-        heatmap = load_tensor(Path(root) / row["heatmap_path"]).astype(np.float64)
-    au = AUVector.from_array(np.asarray(row["au"]))
-    profile = DemographicProfile(age_group=row["age_group"],
-                                 ethnicity=row["ethnicity"],
-                                 gender=row["gender"],
-                                 identity_seed=0)
-    return Sample(identity_id=row["identity_id"], view_id=row["view_id"],
-                  camera_yaw=row["camera_yaw"], rgb=load_rgb(root, row),
-                  au=au, pspi=row["pspi"], demographic=profile,
-                  heatmap=heatmap, expression_id=row["expression_id"])
 
 
 def demographic_summary(rows: list[dict]) -> dict:

@@ -206,10 +206,6 @@ def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
     if patches.shape[1] != config.num_patches:
         raise DimensionError(
             f"got {patches.shape[1]} patches, config expects {config.num_patches}")
-    if patches.shape[2] != params.tensors["patch_proj.w"].shape[0]:
-        raise DimensionError(
-            f"patch dim {patches.shape[2]} does not match projection "
-            f"{params.tensors['patch_proj.w'].shape}")
     tok = T.linear(Tensor(patches), params.tensors["patch_proj.w"],
                    params.tensors["patch_proj.b"])
     return T.add(tok, T.getitem(params.tensors["pos_embed"], slice(1, None)))

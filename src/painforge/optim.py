@@ -51,9 +51,12 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
 
     ``lr`` is a ``{group: rate}`` dict; a parameter's group comes from
     ``state.group_of`` ("default" when absent). Every rate must be finite and
-    >= 0; the weight decay is ``state.weight_decay``. Returns a new parameter
-    dict; parameters without a gradient this step pass through untouched.
+    >= 0, and every updated parameter's group needs one. The weight decay is
+    ``state.weight_decay``. Returns a new parameter dict; parameters without a
+    gradient this step pass through untouched.
     """
+    if not isinstance(lr, dict):
+        raise ParameterError(f"lr must be a {{group: rate}} dict, got {lr!r}")
     beta1, beta2 = betas
     rates = {group: _check_rate(f"learning rate of group {group!r}", value)
              for group, value in lr.items()}
@@ -64,13 +67,17 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
             raise DimensionError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"'{name}' of shape {theta.shape}")
+        group = state.group_of.get(name, "default")
+        if group not in rates:
+            raise ParameterError(
+                f"parameter '{name}' is in group {group!r}, which has no rate in lr")
+        step_lr = rates[group]
         if name not in state.m:
             state.m[name] = np.zeros_like(theta)
             state.v[name] = np.zeros_like(theta)
             state.param_steps[name] = 0
         state.param_steps[name] += 1
         t = state.param_steps[name]
-        step_lr = rates[state.group_of.get(name, "default")]
         # theta - lr*wd*theta - lr*m_hat / (sqrt(v_hat) + eps), with the moments
         # updated in place and fewer temporaries; every rounding is the same.
         m, v = state.m[name], state.v[name]

@@ -16,7 +16,7 @@ import pytest
 from painforge import tensor as T
 from painforge.evaluation import evaluate_model
 from painforge.facesynth.au import AUVector, pspi_score
-from painforge.facesynth.dataset import DatasetSpec, build_dataset, load_heatmap
+from painforge.facesynth.dataset import DatasetSpec, build_dataset
 from painforge.facesynth.demographics import reference_config, sample_demographics
 from painforge.fileio import (file_sha256, load_tensor, read_manifest, save_tensor,
                               write_manifest)
@@ -244,7 +244,7 @@ def test_criterion_5_dataset_integrity(dataset_100, tmp_path):
     for row in rows:
         if row["heatmap_path"] is None:
             continue
-        heat = load_heatmap(out, row, spec.resolution)
+        heat = load_tensor(out / row["heatmap_path"])
         if any(row["au"]):
             assert heat.max() > 0, row["heatmap_path"]
         else:

@@ -108,6 +108,8 @@ def _adamw(lr, group_of=None):
     lambda: _adamw({"default": -1e-3}),
     lambda: _adamw({"default": float("nan")}),
     lambda: _adamw({"default": 1e-3, "heads": float("inf")}),
+    lambda: _adamw({"heads": 1e-3}),
+    lambda: _adamw(1e-3),
     lambda: cosine_lr(3, 4, -1e-3),
     lambda: cosine_lr(3, 4, float("nan")),
     lambda: cosine_lr(3, 4, float("inf")),
@@ -115,7 +117,8 @@ def _adamw(lr, group_of=None):
     lambda: cosine_lr(3, 4, 1e-3, floor_fraction=1.5),
     lambda: cosine_lr(3, 4, 1e-3, floor_fraction=float("nan")),
 ], ids=["adamw lr nan", "adamw lr inf", "adamw group lr -1e-3",
-        "adamw group lr nan", "adamw unused group lr inf", "cosine lr_max -1e-3",
+        "adamw group lr nan", "adamw unused group lr inf", "adamw group without lr",
+        "adamw lr not a dict", "cosine lr_max -1e-3",
         "cosine lr_max nan", "cosine lr_max inf", "cosine floor -1", "cosine floor 1.5",
         "cosine floor nan"])
 def test_rates_out_of_range_rejected(call):
