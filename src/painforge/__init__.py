@@ -7,7 +7,7 @@ from .facesynth import (AUVector, DemographicProfile, FaceMesh, apply_au_rig,
                         make_identity_mesh, pspi_score, render_depth,
                         render_heatmap, render_rgb, sample_au_config,
                         sample_demographics)
-from .facesynth.dataset import DatasetSpec, build_dataset, pair_modalities
+from .facesynth.dataset import DatasetSpec, build_dataset
 from .metrics import (FoldPlan, PredictionSet, binary_auroc, f1_binary,
                       macro_auroc, subject_kfold, tolerance_accuracy)
 from .model import ModelConfig, ModelOutput, ModelParams, forward, init_params
@@ -31,6 +31,6 @@ __all__ = [
     "OptimState", "adamw_step", "cosine_lr",
     "Tensor", "gradcheck",
     "LossWeights", "TrainConfig", "TrainReport", "compose_loss",
-    "pair_modalities", "train_student", "train_teacher",
+    "train_student", "train_teacher",
     "__version__",
 ]

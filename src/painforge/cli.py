@@ -195,8 +195,8 @@ def cmd_pipeline(args) -> int:
                                    time.perf_counter() - t0)
         return 0
     except PainforgeError as exc:
-        print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
-        raise
+        # Same type, so ``main`` prints one line and keeps the exit code.
+        raise type(exc)(f"pipeline failed at stage {stage}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -209,24 +209,9 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
     return manifest_path
 
 
-def pair_modalities(rows: list[dict]) -> list[tuple[dict, str | None]]:
-    """Pair every RGB frame with its expression's frontal heatmap path.
-
-    Neutral frames pair with None, meaning an all-zero heatmap. A rigged frame
-    without a heatmap path is a corrupt manifest and raises DataError.
-    """
-    pairs = []
-    for row in rows:
-        if row["expression_id"] is None:
-            pairs.append((row, None))
-        elif row["heatmap_path"]:
-            pairs.append((row, row["heatmap_path"]))
-        else:
-            raise DataError(
-                "manifest row is missing its heatmap: identity "
-                f"{row['identity_id']}, expression {row['expression_id']}, "
-                f"view {row['view_id']}")
-    return pairs
+def heatmap_of(row: dict) -> str | None:
+    """The frontal heatmap a row pairs with: None (all zeros) for a neutral row."""
+    return None if row["expression_id"] is None else row["heatmap_path"]
 
 
 def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarray:
@@ -263,22 +248,26 @@ def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarr
 def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
 
-    RGB models see every row. Heatmap models (one channel) see one frontal
-    heatmap per (identity, expression), first row in manifest order; neutral
-    rows have none. A rigged row without its heatmap is a DataError for both,
-    as is a manifest without heatmaps for a heatmap model. The images are
-    checked by ``load_stacked``.
+    A rigged row without its heatmap is a DataError, checked before any file
+    is read. RGB models see every row. Heatmap models (one channel) see the
+    first row of each distinct ``heatmap_of``, neutral rows excluded; a
+    manifest without heatmaps is a DataError for them. The images are checked
+    by ``load_stacked``.
     """
-    pairs = pair_modalities(rows)
+    for row in rows:
+        if row["expression_id"] is not None and not row["heatmap_path"]:
+            raise DataError(
+                "manifest row is missing its heatmap: identity "
+                f"{row['identity_id']}, expression {row['expression_id']}, "
+                f"view {row['view_id']}")
     if config.in_channels == 1:
         first = {}
-        for row, heatmap in pairs:
-            if heatmap is not None:
-                first.setdefault((row["identity_id"], row["expression_id"]), row)
+        for row in rows:
+            first.setdefault(heatmap_of(row), row)
+        first.pop(None, None)
         if not first:
             raise DataError("manifest has no heatmap rows for a heatmap model")
-        rows = list(first.values())
-        paths = [r["heatmap_path"] for r in rows]
+        rows, paths = list(first.values()), list(first)
     else:
         paths = [r["rgb_path"] for r in rows]
     return (load_stacked(root, paths, config),

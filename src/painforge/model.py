@@ -88,10 +88,6 @@ class ModelParams:
         prefixes = ("patch_proj.", "pos_embed", "cls_token", "blocks.")
         return [n for n in self.tensors if n.startswith(prefixes)]
 
-    def head_names(self) -> list[str]:
-        backbone = set(self.backbone_names())
-        return [n for n in self.tensors if n not in backbone]
-
     def replace(self, arrays: dict) -> None:
         """Install parameter values as fresh gradient roots."""
         for name, value in arrays.items():

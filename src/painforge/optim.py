@@ -51,31 +51,33 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
 
     ``lr`` is a ``{group: rate}`` dict; a parameter's group comes from
     ``state.group_of`` ("default" when absent). Every rate must be finite and
-    >= 0, and every updated parameter's group needs one. The weight decay is
-    ``state.weight_decay``. Returns a new parameter dict; parameters without a
-    gradient this step pass through untouched.
+    >= 0. Every gradient is checked before any moment changes, so a rejected
+    step leaves ``state`` as it was: its parameter must be in ``state``
+    (ParameterError), have the gradient's shape (DimensionError) and be in a
+    group with a rate (ParameterError). The weight decay is
+    ``state.weight_decay``. Returns a new parameter dict; parameters without
+    a gradient this step pass through untouched.
     """
     if not isinstance(lr, dict):
         raise ParameterError(f"lr must be a {{group: rate}} dict, got {lr!r}")
     beta1, beta2 = betas
     rates = {group: _check_rate(f"learning rate of group {group!r}", value)
              for group, value in lr.items()}
-    out = dict(params)
     for name, g in grads.items():
-        theta = params[name]
-        if g.shape != theta.shape:
+        if name not in state.m:
+            raise ParameterError(f"parameter '{name}' has no optimizer state")
+        if g.shape != params[name].shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match parameter "
-                f"'{name}' of shape {theta.shape}")
+                f"'{name}' of shape {params[name].shape}")
         group = state.group_of.get(name, "default")
         if group not in rates:
             raise ParameterError(
                 f"parameter '{name}' is in group {group!r}, which has no rate in lr")
-        step_lr = rates[group]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-            state.param_steps[name] = 0
+    out = dict(params)
+    for name, g in grads.items():
+        theta = params[name]
+        step_lr = rates[state.group_of.get(name, "default")]
         state.param_steps[name] += 1
         t = state.param_steps[name]
         # theta - lr*wd*theta - lr*m_hat / (sqrt(v_hat) + eps), with the moments

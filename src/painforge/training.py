@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, MetricError
 from .fileio import dump_json_line, read_manifest
-from .facesynth.dataset import load_model_inputs, load_stacked, pair_modalities
+from .facesynth.dataset import heatmap_of, load_model_inputs, load_stacked
 from .metrics import macro_auroc, subject_holdout
 from .model import (ModelConfig, ModelOutput, ModelParams, forward,
                     init_params, load_checkpoint, predict, save_checkpoint)
@@ -165,8 +165,8 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
     t_start = time.perf_counter()
     inputs, pspi, au, subjects = data
     params = init_params(model_config, config.seed)
-    group_of = {n: "backbone" for n in params.backbone_names()}
-    group_of.update({n: "heads" for n in params.head_names()})
+    backbone = params.backbone_names()
+    group_of = {n: "backbone" if n in backbone else "heads" for n in params.tensors}
     state = init_optim_state({n: t.data for n, t in params.tensors.items()},
                              group_of, config.weight_decay)
 
@@ -179,9 +179,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
                          loss_weights=weights.to_dict(),
                          model_config=model_config.to_dict())
 
-    ckpt_dir = out_dir / "checkpoint"
-    best_auroc = -np.inf
-    save_checkpoint(params, ckpt_dir)  # initialization; overwritten on improvement
+    best_auroc, best = -np.inf, None
 
     def validation_auroc() -> float | None:
         if val_idx.size == 0:
@@ -201,7 +199,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
         frozen = epoch < config.freeze_epochs
         # A frozen backbone is a constant: backward neither builds nor walks
         # its graph, and only the heads receive gradients.
-        for name in params.backbone_names():
+        for name in backbone:
             params.tensors[name].requires_grad = not frozen
 
         order = train_idx[keyed_rng(config.seed, STREAM_SHUFFLE, epoch)
@@ -239,11 +237,15 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
             best_auroc = val
             report.best_epoch = epoch
             report.best_val_macro_auroc = val
-            save_checkpoint(params, ckpt_dir)
+            # ``assign`` rebinds a tensor's array and never writes into it, so
+            # these references keep the best epoch's values.
+            best = {n: t.data for n, t in params.tensors.items()}
 
-    if report.best_epoch is None and config.epochs > 0:
-        # No usable validation signal; keep the final parameters.
-        save_checkpoint(params, ckpt_dir)
+    # One write per run: the best validation epoch, else the last parameters
+    # (the initial ones when there are no epochs).
+    if best is not None:
+        params.replace(best)
+    ckpt_dir = save_checkpoint(params, out_dir / "checkpoint")
     report.wall_clock_s = time.perf_counter() - t_start
     report.save(out_dir / "train_report.jsonl")
     return ckpt_dir, report
@@ -262,21 +264,21 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
                        out_dir)
 
 
-def _precompute_teacher_signals(pairs, root, teacher: ModelParams,
+def _precompute_teacher_signals(rows, root, teacher: ModelParams,
                                 batch_size: int):
-    """Teacher outputs per unique heatmap, gathered back per student frame:
+    """Teacher outputs per unique heatmap, gathered back per student row:
     the (pspi_logits, au_pred, cls_feature) arrays of ``predict``, the
     ``teacher`` form that ``compose_loss`` takes once sliced to a batch.
 
-    The heatmaps run in first-appearance order, in batches of ``batch_size``;
-    neutral frames share the key None, whose heatmap is all zeros.
+    Rows are keyed by ``heatmap_of`` (neutral rows share None, the all-zero
+    heatmap) and come checked by ``load_model_inputs``. The heatmaps run in
+    first-appearance order, in batches of ``batch_size``.
     """
-    index_of = {}
-    for _, heatmap_path in pairs:
-        index_of.setdefault(heatmap_path, len(index_of))
+    keys = [heatmap_of(row) for row in rows]
+    index_of = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     outputs = predict(load_stacked(root, list(index_of), teacher.config),
                       teacher, batch_size)
-    gather = np.array([index_of[p] for _, p in pairs])
+    gather = np.array([index_of[key] for key in keys])
     return tuple(out[gather] for out in outputs)
 
 
@@ -304,8 +306,8 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
             raise ConfigError(
                 f"teacher hidden dim {teacher.config.hidden_dim} does not match "
                 f"student {model_config.hidden_dim}; CLS features cannot align")
-        teacher_arrays = _precompute_teacher_signals(pair_modalities(rows), root,
-                                                     teacher, config.batch_size)
+        teacher_arrays = _precompute_teacher_signals(rows, root, teacher,
+                                                     config.batch_size)
         role = "student_distilled"
 
     return _train_loop(role, data, teacher_arrays, model_config, config,

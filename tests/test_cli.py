@@ -316,3 +316,26 @@ class TestPipeline:
         ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
         stages = [json.loads(line)["stage"] for line in ledger]
         assert stages[0] == "generate" and "evaluate" in stages
+
+    @pytest.mark.parametrize("fault, code", [("lr_heads", 1), ("config_error", 2)])
+    def test_failure_is_reported_once_with_its_stage(self, tmp_path, capsys,
+                                                     monkeypatch, fault, code):
+        from painforge import cli
+        config = tmp_path / "p.cfg"
+        config.write_text(
+            "seed = 1\n"
+            "dataset.identities = 4\ndataset.expressions = 1\n"
+            "dataset.views = 0\ndataset.resolution = 32\n"
+            "model.hidden_dim = 32\nmodel.patch_size = 16\n"
+            "model.num_layers = 1\nmodel.num_heads = 2\n"
+            "train.epochs = 1\ntrain.freeze_epochs = 0\ntrain.batch_size = 8\n"
+            + ("train.lr_heads = 1e300\n" if fault == "lr_heads" else "")
+            + f"out = {tmp_path / 'pipe'}\n")
+        if fault == "config_error":
+            def reject(*args, **kwargs):
+                raise ConfigError("injected teacher fault")
+            monkeypatch.setattr(cli, "train_teacher", reject)
+        assert main(["pipeline", "--config", str(config)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert "pipeline failed at stage train_teacher: " in err[0]

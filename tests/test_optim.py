@@ -8,6 +8,7 @@ from painforge.optim import adamw_step, cosine_lr, init_optim_state
 
 
 RATE = {"default": 0.1}  # the rate of every parameter outside a named group
+BOTH = {"backbone": 0.1, **RATE}
 
 
 def _single(theta):
@@ -64,6 +65,29 @@ class TestAdamW:
             both = adamw_step(both, {"other": np.ones(1)}, state, lr=RATE)
         both = adamw_step(both, {"w": np.ones(1)}, state, lr=RATE)
         assert np.isclose(both["w"][0], fresh_out["w"][0], atol=1e-12)
+
+
+    @pytest.mark.parametrize("grads, lr, error", [
+        ({"a": np.ones(2), "b": np.ones(2)}, BOTH, DimensionError),
+        ({"a": np.ones(2), "b": np.ones(3)}, {"backbone": 0.1}, ParameterError),
+        ({"a": np.ones(2), "c": np.ones(3)}, BOTH, ParameterError),
+    ], ids=["shape of b", "b without rate", "unknown c"])
+    def test_rejected_step_leaves_state_untouched(self, grads, lr, error):
+        # ``a`` comes first and is valid: a check made inside the update loop
+        # would have stepped it before raising on the second gradient.
+        params = {"a": np.ones(2), "b": np.ones(3)}
+        state = init_optim_state(params, group_of={"a": "backbone"})
+        adamw_step(params, {"a": np.ones(2), "b": np.ones(3)}, state, lr=BOTH)
+        before = ({n: a.copy() for n, a in state.m.items()},
+                  {n: a.copy() for n, a in state.v.items()},
+                  dict(state.param_steps))
+        with pytest.raises(error) as err:
+            adamw_step(params, grads, state, lr=lr)
+        assert "'b'" in str(err.value) or "'c'" in str(err.value)
+        for now, then in zip((state.m, state.v), before[:2]):
+            assert now.keys() == then.keys()
+            assert all(np.array_equal(now[n], then[n]) for n in now)
+        assert state.param_steps == before[2]
 
 
 class TestCosineLR:

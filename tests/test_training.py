@@ -10,13 +10,14 @@ import pytest
 
 from painforge import training
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
-from painforge.facesynth.dataset import DatasetSpec, build_dataset
+from painforge.facesynth.dataset import (DatasetSpec, build_dataset, heatmap_of,
+                                         load_model_inputs)
 from painforge.evaluation import evaluate_model
 from painforge.fileio import read_manifest, save_tensor, write_manifest
 from painforge.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from painforge.tensor import Tensor
 from painforge.training import (LossWeights, TrainConfig, compose_loss,
-                                pair_modalities, train_student, train_teacher)
+                                train_student, train_teacher)
 
 WEIGHTS = LossWeights()  # paper defaults: 1.0, 1.0, 0.1, 0.3, 0.5, T=4
 
@@ -152,30 +153,34 @@ MODEL32 = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
 class TestPairModalities:
     def test_all_views_share_one_heatmap(self, small_data):
         _, manifest = small_data
-        pairs = pair_modalities(read_manifest(manifest))
         by_expr = {}
-        for row, heatmap in pairs:
+        for row in read_manifest(manifest):
             if row["expression_id"] is not None:
                 key = (row["identity_id"], row["expression_id"])
-                by_expr.setdefault(key, set()).add(heatmap)
-        assert all(len(v) == 1 for v in by_expr.values())
+                by_expr.setdefault(key, set()).add(row["heatmap_path"])
+        assert all(len(v) == 1 and None not in v for v in by_expr.values())
         assert len(by_expr) == 12
 
     def test_neutral_pairs_with_zero(self, small_data):
         _, manifest = small_data
-        pairs = pair_modalities(read_manifest(manifest))
-        neutrals = [h for row, h in pairs if row["expression_id"] is None]
-        assert neutrals and all(h is None for h in neutrals)
+        neutrals = [r for r in read_manifest(manifest) if r["expression_id"] is None]
+        assert neutrals
+        assert all(r["heatmap_path"] is None and heatmap_of(r) is None
+                   for r in neutrals)
 
-    def test_missing_heatmap_is_data_error(self, small_data):
+    def test_missing_heatmap_is_data_error(self, small_data, tmp_path):
+        # The row check runs before any file is read: the root does not exist.
         _, manifest = small_data
-        rows = read_manifest(manifest)
-        broken = [dict(r) for r in rows]
+        broken = [dict(r) for r in read_manifest(manifest)]
         victim = next(r for r in broken if r["expression_id"] is not None)
         victim["heatmap_path"] = None
-        with pytest.raises(DataError) as err:
-            pair_modalities(broken)
-        assert str(victim["identity_id"]) in str(err.value)
+        for channels in (3, 1):
+            config = dataclasses.replace(MODEL32, in_channels=channels)
+            with pytest.raises(DataError) as err:
+                load_model_inputs(tmp_path / "missing", broken, config)
+            assert (f"identity {victim['identity_id']}, expression "
+                    f"{victim['expression_id']}, view {victim['view_id']}"
+                    in str(err.value))
 
 
 class TestTrainTeacher:
@@ -213,6 +218,62 @@ class TestTrainTeacher:
         assert last_window < first
 
 
+class TestCheckpointWrite:
+    """A run writes its checkpoint once, after the last epoch: the best
+    validation epoch, else the final parameters (the initial ones at 0 epochs)."""
+
+    # config, best epoch, sha256 of the checkpoint's (name, bytes) in name order
+    RUNS = {
+        "validated": (TrainConfig(epochs=5, freeze_epochs=1, lr_backbone=3e-4,
+                                  lr_heads=3e-3, batch_size=8, seed=4,
+                                  val_fraction=0.5), 1,
+                      "3e344905ed9964d197b559cbf8230fdf617d7240d648643961bf1375baea0999"),
+        "no validation": (TrainConfig(epochs=2, freeze_epochs=1, batch_size=8, seed=6,
+                                      val_fraction=0.0), None,
+                          "10d69cfa4ddca5b9af2b1b261bad806e8f479d4b504e6e6405e62bb3ef044907"),
+        "zero epochs": (TrainConfig(epochs=0, freeze_epochs=0, seed=6), None,
+                        "d379a70a6c92c827c2db6d7efb2db71440d16b2fdc0c22d6bea41b9b645b693f"),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_one_write_with_the_same_bytes(self, small_data, tmp_path, monkeypatch,
+                                           run):
+        config, best_epoch, expected = self.RUNS[run]
+        _, manifest = small_data
+        writes = []
+        real_save = training.save_checkpoint
+
+        def spy(params, directory):
+            writes.append(directory)
+            return real_save(params, directory)
+
+        monkeypatch.setattr(training, "save_checkpoint", spy)
+        ckpt, report = train_teacher(manifest, tmp_path, model_config=MODEL32,
+                                     train_config=config)
+        assert writes == [ckpt]
+        # The validated run's best epoch is not its last: later epochs must
+        # not leak into the checkpoint.
+        assert report.best_epoch == best_epoch
+        digest = hashlib.sha256()
+        for path in sorted(ckpt.iterdir()):
+            digest.update(path.name.encode() + path.read_bytes())
+        assert digest.hexdigest() == expected
+
+    def test_run_failing_in_first_epoch_leaves_no_checkpoint(self, small_data,
+                                                             tmp_path, monkeypatch):
+        _, manifest = small_data
+
+        def overflowing_step(arrays, grads, *args, **kwargs):
+            return {n: np.full_like(v, np.inf) for n, v in arrays.items()}
+
+        monkeypatch.setattr(training, "adamw_step", overflowing_step)
+        with pytest.raises(NumericError):
+            train_teacher(manifest, tmp_path, model_config=MODEL32,
+                          train_config=TrainConfig(epochs=2, freeze_epochs=0,
+                                                   batch_size=8, seed=1))
+        assert not (tmp_path / "checkpoint").exists()
+
+
 class TestTrainStudent:
     def test_frozen_backbone_is_bit_identical_during_freeze(self, small_data, tmp_path):
         _, manifest = small_data
@@ -223,11 +284,12 @@ class TestTrainStudent:
                                 train_config=config)
         trained = load_checkpoint(ckpt)
         init = init_params(dataclasses.replace(MODEL32, in_channels=3), 1)
-        for name in trained.backbone_names():
+        backbone = trained.backbone_names()
+        for name in backbone:
             assert np.array_equal(trained.tensors[name].data,
                                   init.tensors[name].data), name
-        changed = [name for name in trained.head_names()
-                   if not np.array_equal(trained.tensors[name].data,
+        changed = [name for name in trained.tensors if name not in backbone
+                   and not np.array_equal(trained.tensors[name].data,
                                          init.tensors[name].data)]
         assert changed
 
@@ -255,7 +317,8 @@ class TestTrainStudent:
         train_student(manifest, tmp_path, model_config=MODEL32, train_config=config)
 
         params = model_params[0]
-        heads, everything = sorted(params.head_names()), sorted(params.tensors)
+        everything = sorted(params.tensors)
+        heads = sorted(set(everything) - set(params.backbone_names()))
         steps_per_epoch = len(updated) // 2
         assert steps_per_epoch >= 1
         for arrays, grads, backbone_grad_is_none in updated[:steps_per_epoch]:
