@@ -32,23 +32,19 @@ PIPELINE_STAGES = (("teacher", "teacher", False),
                    ("distilled", "student", True))
 
 
-class RunLedger:
-    """Append-only record tying every stage's outputs to its config hash."""
-
-    def __init__(self, out_root: Path):
-        self.path = Path(out_root) / "ledger.jsonl"
-
-    def append(self, stage: str, config_hash: str, seed: int,
-               input_manifest: str | None, outputs: list[str],
-               wall_time_s: float) -> None:
-        record = {"stage": stage, "config_hash": config_hash, "seed": seed,
-                  "input_manifest_hash": (file_sha256(input_manifest)
-                                          if input_manifest else None),
-                  "outputs": [str(p) for p in outputs],
-                  "wall_time_s": round(wall_time_s, 3)}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def append_ledger(out_root: Path, stage: str, config_hash: str, seed: int,
+                  input_manifest: str | None, outputs: list[str],
+                  wall_time_s: float) -> None:
+    """Append one record to <out_root>/ledger.jsonl, the append-only record
+    tying every stage's outputs to its config hash."""
+    record = {"stage": stage, "config_hash": config_hash, "seed": seed,
+              "input_manifest_hash": (file_sha256(input_manifest)
+                                      if input_manifest else None),
+              "outputs": [str(p) for p in outputs],
+              "wall_time_s": round(wall_time_s, 3)}
+    Path(out_root).mkdir(parents=True, exist_ok=True)
+    with (Path(out_root) / "ledger.jsonl").open("a") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _print_summary(rows) -> None:
@@ -70,8 +66,8 @@ def _generate_stage(config: RunConfig, resume: bool):
                              resume=resume)
     rows = read_manifest(manifest)
     _print_summary(rows)
-    RunLedger(config.out_root).append("generate", config.hash(), config.seed, None,
-                                      [manifest], time.perf_counter() - t0)
+    append_ledger(config.out_root, "generate", config.hash(), config.seed, None,
+                  [manifest], time.perf_counter() - t0)
     return manifest, rows
 
 
@@ -96,8 +92,8 @@ def _train_stage(config: RunConfig, stage: str, role: str, manifest: Path,
             manifest, out_dir, teacher_checkpoint=teacher_ckpt,
             model_config=config.model_config(use_au_queries=role != "baseline"),
             train_config=config.train_config(), loss_weights=config.loss_weights())
-    RunLedger(config.out_root).append(
-        f"train_{stage}", config.hash(), config.seed, str(manifest),
+    append_ledger(
+        config.out_root, f"train_{stage}", config.hash(), config.seed, str(manifest),
         [str(ckpt), str(out_dir / "train_report.jsonl")], time.perf_counter() - t0)
     return ckpt, report
 
@@ -147,9 +143,8 @@ def cmd_evaluate(args) -> int:
         print(f"binary @ PSPI >= {threshold}: AUROC {auroc}, "
               f"F1@0.5 {entry['f1_at_0.5']:.4f}, best F1 {entry['f1_best']:.4f}")
     print(f"report: {out_path}")
-    RunLedger(out_path.parent).append("evaluate", "-", args.seed,
-                                      str(args.data), [str(out_path)],
-                                      time.perf_counter() - t0)
+    append_ledger(out_path.parent, "evaluate", "-", args.seed, str(args.data),
+                  [str(out_path)], time.perf_counter() - t0)
     return 0
 
 
@@ -190,9 +185,9 @@ def cmd_pipeline(args) -> int:
         final_path.write_text(json.dumps(final, sort_keys=True, indent=1) + "\n")
         _print_metrics_table(table)
         print(f"final report: {final_path}")
-        RunLedger(out_root).append(stage, config.hash(), config.seed,
-                                   str(test_manifest), [str(final_path)],
-                                   time.perf_counter() - t0)
+        append_ledger(out_root, stage, config.hash(), config.seed,
+                      str(test_manifest), [str(final_path)],
+                      time.perf_counter() - t0)
         return 0
     except PainforgeError as exc:
         # Same type, so ``main`` prints one line and keeps the exit code.

@@ -25,6 +25,7 @@ from .tensor import Tensor
 # Dropout call sites inside the pain-intensity head.
 _DROP_SITE_PSPI_1 = 1
 _DROP_SITE_PSPI_2 = 2
+_CHECKPOINT_FORMAT = "painforge-checkpoint-v1"
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,18 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
     return sp_special.ndtri(rng.uniform(lo, hi, size=shape)) * std
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    rng = keyed_rng(seed, STREAM_INIT)
+def param_layout(config: ModelConfig) -> dict:
+    """Every parameter as ``name -> (shape, fill)`` in creation order; ``fill``
+    is ``np.zeros``, ``np.ones`` or None for a truncated-normal draw."""
     d = config.hidden_dim
     patch_dim = config.patch_size * config.patch_size * config.in_channels
-    arrays: dict = {}
+    layout: dict = {}
 
     def w(name, shape):
-        arrays[name] = _trunc_normal(rng, shape)
+        layout[name] = (shape, None)
 
-    def b(name, shape):
-        arrays[name] = np.zeros(shape)
+    def b(name, shape, fill=np.zeros):
+        layout[name] = (shape, fill)
 
     w("patch_proj.w", (patch_dim, d))
     b("patch_proj.b", (d,))
@@ -132,13 +134,13 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     w("cls_token", (d,))
     for layer in range(config.num_layers):
         pre = f"blocks.{layer}."
-        arrays[pre + "ln1.g"] = np.ones(d)
+        b(pre + "ln1.g", (d,), np.ones)
         b(pre + "ln1.b", (d,))
         for proj in ("wq", "wk", "wv", "wo"):
             w(pre + "attn." + proj, (d, d))
         for bias in ("bq", "bk", "bv", "bo"):
             b(pre + "attn." + bias, (d,))
-        arrays[pre + "ln2.g"] = np.ones(d)
+        b(pre + "ln2.g", (d,), np.ones)
         b(pre + "ln2.b", (d,))
         hidden = int(round(d * config.mlp_ratio))
         w(pre + "mlp.w1", (d, hidden))
@@ -156,7 +158,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     b("au_head.b2", (au_out,))
 
     h1, h2 = max(1, d // 2), max(1, d // 4)
-    arrays["pspi_head.ln.g"] = np.ones(d)
+    b("pspi_head.ln.g", (d,), np.ones)
     b("pspi_head.ln.b", (d,))
     w("pspi_head.w1", (d, h1))
     b("pspi_head.b1", (h1,))
@@ -164,53 +166,46 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     b("pspi_head.b2", (h2,))
     w("pspi_head.w3", (h2, config.num_classes))
     b("pspi_head.b3", (config.num_classes,))
+    return layout
 
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    rng = keyed_rng(seed, STREAM_INIT)
     params = ModelParams(config=config)
-    params.replace(arrays)
+    params.replace({name: _trunc_normal(rng, shape) if fill is None else fill(shape)
+                    for name, (shape, fill) in param_layout(config).items()})
     return params
 
 
 # -- forward pieces -----------------------------------------------------------
 
-def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """(B, H, W, C) -> (B, N, patch*patch*C) row-major patch flattening."""
-    if images.ndim != 4:
-        raise DimensionError(f"expected B x H x W x C images, got {images.shape}")
-    batch, h, w, c = images.shape
-    if h % patch_size or w % patch_size:
-        raise DimensionError(
-            f"image size {h}x{w} not divisible by patch size {patch_size}")
-    gh, gw = h // patch_size, w // patch_size
-    x = images.reshape(batch, gh, patch_size, gw, patch_size, c)
-    return x.transpose(0, 1, 3, 2, 4, 5).reshape(batch, gh * gw, -1)
-
-
 def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
-    """Project non-overlapping patches and add their positional embeddings.
-
-    Images arrive in [0, 1]; each image is mean-centered and rescaled first so
-    patch tokens do not share one dominant brightness direction, for dense RGB
-    and sparse heatmap inputs alike.
-    """
-    config = params.config
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise DimensionError(f"expected B x H x W x C images, got {images.shape}")
+    """Project the non-overlapping row-major patches of ``forward``'s checked
+    float64 (B, H, W, C) images. Each image is mean-centered and rescaled first
+    so patch tokens do not share one dominant brightness direction, for dense
+    RGB and sparse heatmap inputs alike."""
+    p = params.config.patch_size
     images = images - images.mean(axis=(1, 2, 3), keepdims=True)
     images *= 2.0  # in place: one batch-sized temporary, the same bits
-    patches = patchify(images, config.patch_size)
-    if patches.shape[1] != config.num_patches:
-        raise DimensionError(
-            f"got {patches.shape[1]} patches, config expects {config.num_patches}")
-    tok = T.linear(Tensor(patches), params.tensors["patch_proj.w"],
-                   params.tensors["patch_proj.b"])
-    return T.add(tok, T.getitem(params.tensors["pos_embed"], slice(1, None)))
+    batch, h, w, c = images.shape
+    patches = images.reshape(batch, h // p, p, w // p, p, c).transpose(
+        0, 1, 3, 2, 4, 5).reshape(batch, (h // p) * (w // p), -1)
+    return T.linear(Tensor(patches), params.tensors["patch_proj.w"],
+                    params.tensors["patch_proj.b"])
+
+
+def _attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    """Softmax of ``q @ k^T / sqrt(q.shape[-1])`` over the keys pools ``v``;
+    leading axes broadcast. Returns (pooled values, weights)."""
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = T.mul(T.matmul(q, T.transpose(k, swap)), 1.0 / np.sqrt(q.shape[-1]))
+    weights = T.softmax(scores, axis=-1)
+    return T.matmul(weights, v), weights
 
 
 def _self_attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    config = params.config
     batch, tokens, d = x.shape
-    heads = config.num_heads
+    heads = params.config.num_heads
     head_dim = d // heads
     p = params.tensors
 
@@ -221,13 +216,7 @@ def _self_attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
         return T.transpose(T.reshape(t, (batch, tokens, heads, head_dim)),
                            (0, 2, 1, 3))
 
-    q = split_heads(proj("wq", "bq"))
-    k = split_heads(proj("wk", "bk"))
-    v = split_heads(proj("wv", "bv"))
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                   1.0 / np.sqrt(head_dim))
-    attn = T.softmax(scores, axis=-1)
-    mixed = T.matmul(attn, v)
+    mixed, _ = _attention(*(split_heads(proj("w" + n, "b" + n)) for n in "qkv"))
     merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, tokens, d))
     return T.linear(merged, p[prefix + "wo"], p[prefix + "bo"])
 
@@ -263,11 +252,7 @@ def au_cross_attention(patches: Tensor, queries: Tensor) -> tuple[Tensor, Tensor
     if patches.shape[2] != queries.shape[1]:
         raise DimensionError(
             f"feature dims disagree: patches {patches.shape} vs queries {queries.shape}")
-    d = queries.shape[1]
-    scores = T.mul(T.matmul(queries, T.transpose(patches, (0, 2, 1))),
-                   1.0 / np.sqrt(d))
-    alpha = T.softmax(scores, axis=-1)
-    return T.matmul(alpha, patches), alpha
+    return _attention(queries, patches, patches)
 
 
 def au_head(features: Tensor, params: ModelParams) -> Tensor:
@@ -307,11 +292,10 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
     batch = images.shape[0]
     d = config.hidden_dim
 
-    tok = patch_embed(images, params)
-    cls = T.add(params.tensors["cls_token"],
-                T.getitem(params.tensors["pos_embed"], 0))
-    cls_row = T.broadcast_to(T.reshape(cls, (1, 1, d)), (batch, 1, d))
-    encoded = encoder_forward(T.concat([cls_row, tok], axis=1), params)
+    cls_row = T.broadcast_to(T.reshape(params.tensors["cls_token"], (1, 1, d)),
+                             (batch, 1, d))
+    tokens = T.concat([cls_row, patch_embed(images, params)], axis=1)
+    encoded = encoder_forward(T.add(tokens, params.tensors["pos_embed"]), params)
 
     cls_feature = T.getitem(encoded, (slice(None), 0))
     patch_features = T.getitem(encoded, (slice(None), slice(1, None)))
@@ -348,7 +332,7 @@ def save_checkpoint(params: ModelParams, directory) -> Path:
     """One tensor file per parameter plus a JSON index with the config."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    index = {"format": "painforge-checkpoint-v1",
+    index = {"format": _CHECKPOINT_FORMAT,
              "config": params.config.to_dict(), "tensors": {}}
     for name in sorted(params.tensors):
         data = params.tensors[name].data
@@ -362,6 +346,8 @@ def save_checkpoint(params: ModelParams, directory) -> Path:
 
 
 def load_checkpoint(directory) -> ModelParams:
+    """A missing index is a ConfigError; an index that does not match its
+    format or its config's ``param_layout`` is a DataError naming it."""
     directory = Path(directory)
     index_path = directory / "index.json"
     if not index_path.exists():
@@ -370,15 +356,23 @@ def load_checkpoint(directory) -> ModelParams:
         index = json.loads(index_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{index_path} does not parse: {exc}") from exc
-    config = ModelConfig.from_dict(index["config"])
-    params = ModelParams(config=config)
+    if not isinstance(index, dict) or index.get("format") != _CHECKPOINT_FORMAT:
+        raise DataError(f"{index_path} is not a {_CHECKPOINT_FORMAT} index")
+    try:
+        config = ModelConfig.from_dict(index["config"])
+        files = {name: directory / meta["file"] for name, meta in index["tensors"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise DataError(f"{index_path} is malformed: {type(exc).__name__}: {exc}") from exc
+    layout = param_layout(config)
+    if files.keys() != layout.keys():
+        raise DataError(f"{index_path} tensors differ from its config's in "
+                        f"{sorted(files.keys() ^ layout.keys())}")
     arrays = {}
-    for name, meta in index["tensors"].items():
-        data = load_tensor(directory / meta["file"])
-        if list(data.shape) != meta["shape"]:
-            raise ConfigError(
-                f"checkpoint tensor {name} has shape {data.shape}, "
-                f"index says {meta['shape']}")
-        arrays[name] = data
+    for name, path in files.items():
+        arrays[name] = load_tensor(path)
+        if arrays[name].shape != layout[name][0]:
+            raise DataError(f"{index_path}: tensor {name} has shape "
+                            f"{arrays[name].shape}, its config gives {layout[name][0]}")
+    params = ModelParams(config=config)
     params.replace(arrays)
     return params

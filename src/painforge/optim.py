@@ -52,9 +52,9 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
     ``lr`` is a ``{group: rate}`` dict; a parameter's group comes from
     ``state.group_of`` ("default" when absent). Every rate must be finite and
     >= 0. Every gradient is checked before any moment changes, so a rejected
-    step leaves ``state`` as it was: its parameter must be in ``state``
-    (ParameterError), have the gradient's shape (DimensionError) and be in a
-    group with a rate (ParameterError). The weight decay is
+    step leaves ``state`` as it was: its parameter must be in ``params`` and
+    in ``state`` (ParameterError), have the gradient's shape (DimensionError)
+    and be in a group with a rate (ParameterError). The weight decay is
     ``state.weight_decay``. Returns a new parameter dict; parameters without
     a gradient this step pass through untouched.
     """
@@ -64,6 +64,8 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
     rates = {group: _check_rate(f"learning rate of group {group!r}", value)
              for group, value in lr.items()}
     for name, g in grads.items():
+        if name not in params:
+            raise ParameterError(f"parameter '{name}' has a gradient but is not in params")
         if name not in state.m:
             raise ParameterError(f"parameter '{name}' has no optimizer state")
         if g.shape != params[name].shape:

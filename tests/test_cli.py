@@ -3,13 +3,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from painforge.cli import main
 from painforge.config import RunConfig, load_config, parse_config_text
-from painforge.errors import ConfigError
-from painforge.fileio import file_sha256, read_manifest
-from painforge.model import ModelConfig, init_params, save_checkpoint
+from painforge.errors import ConfigError, DataError
+from painforge.fileio import file_sha256, read_manifest, save_tensor
+from painforge.model import (ModelConfig, init_params, load_checkpoint,
+                             save_checkpoint)
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -273,6 +275,37 @@ class TestTrainEvaluate:
                      "--data", str(tmp_path / "manifest.jsonl")])
         err = capsys.readouterr().err
         assert code == 1
+        assert "index.json" in err and "Traceback" not in err
+
+    # Each fault edits the index dict in place, or the checkpoint directory.
+    INDEX_FAULTS = {
+        "hidden_dim not an integer": lambda ix, d: ix["config"].update(hidden_dim="x"),
+        "tensor missing": lambda ix, d: ix["tensors"].pop("pspi_head.w3"),
+        "unknown format": lambda ix, d: ix.update(format="v9"),
+        "no config": lambda ix, d: ix.pop("config"),
+        "unknown config key": lambda ix, d: ix["config"].update(bananas=1),
+        "tensor of the wrong shape": lambda ix, d: save_tensor(
+            d / ix["tensors"]["pspi_head.w3"]["file"], np.zeros((3, 17))),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(INDEX_FAULTS))
+    def test_evaluate_malformed_checkpoint_index_exits_1(self, tmp_path, capsys,
+                                                         fault):
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,
+                                                       hidden_dim=16,
+                                                       num_layers=1,
+                                                       num_heads=2), 0),
+                               tmp_path / "ckpt")
+        index = json.loads((ckpt / "index.json").read_text())
+        self.INDEX_FAULTS[fault](index, ckpt)
+        (ckpt / "index.json").write_text(json.dumps(index))
+        with pytest.raises(DataError, match="index.json"):
+            load_checkpoint(ckpt)
+        code = main(["evaluate", "--ckpt", str(ckpt),
+                     "--data", str(tmp_path / "manifest.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
         assert "index.json" in err and "Traceback" not in err
 
     def test_evaluate_non_integer_thresholds_exits_2(self, tmp_path, capsys):

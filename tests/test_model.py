@@ -7,8 +7,8 @@ import pytest
 
 from painforge import tensor as T
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
-from painforge.model import (ModelConfig, au_cross_attention, au_head,
-                             encoder_forward, forward, init_params,
+from painforge.model import (ModelConfig, _attention, au_cross_attention,
+                             au_head, encoder_forward, forward, init_params,
                              load_checkpoint, patch_embed, pspi_head,
                              save_checkpoint)
 from painforge.tensor import Tensor, cross_entropy, gradcheck, mse
@@ -50,6 +50,19 @@ class TestPatchEmbed:
         params = init_params(cfg, 0)
         tok = patch_embed(np.zeros((2, 32, 32, 3)), params)
         assert tok.shape == (2, 4, 32)
+
+    def test_equals_linear_of_centred_patches(self):
+        # No positional term: ``forward`` adds pos_embed to all tokens at once.
+        cfg = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
+                          num_layers=1, num_heads=2)
+        params = init_params(cfg, 0)
+        images = np.random.default_rng(2).random((3, 32, 32, 3))
+        centred = (images - images.mean(axis=(1, 2, 3), keepdims=True)) * 2.0
+        patches = np.stack([centred[:, r:r + 16, c:c + 16].reshape(3, -1)
+                            for r in (0, 16) for c in (0, 16)], axis=1)
+        expected = T.linear(Tensor(patches), params.tensors["patch_proj.w"],
+                            params.tensors["patch_proj.b"])
+        assert np.array_equal(patch_embed(images, params).data, expected.data)
 
     def test_wrong_channel_count(self):
         cfg = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
@@ -112,6 +125,59 @@ class TestEncoder:
             encoder_forward(tokens, params)
         assert "layer 1" in str(err.value)
         assert "linear" in str(err.value)
+
+
+def _backward_through(pooled, weights, inputs):
+    """Backpropagate a fixed random weighting of both outputs and return
+    the gradients of ``inputs``."""
+    rng = np.random.default_rng(11)
+    loss = T.add(T.tsum(T.mul(pooled, rng.normal(size=pooled.shape))),
+                 T.tsum(T.mul(weights, rng.normal(size=weights.shape))))
+    loss.backward()
+    return [t.grad for t in inputs]
+
+
+class TestAttention:
+    """``_attention`` is the scaled-dot-product chain both attention sites
+    ran inline, bit for bit in values and gradients."""
+
+    def test_multi_head_matches_self_attention_chain(self):
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(2, 4, 5, 8)) for _ in range(3)]
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        pooled, weights = _attention(q, k, v)
+        got = _backward_through(pooled, weights, (q, k, v))
+
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        ref_weights = T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                                      1.0 / np.sqrt(8)), axis=-1)
+        ref_pooled = T.matmul(ref_weights, v)
+        want = _backward_through(ref_pooled, ref_weights, (q, k, v))
+
+        assert np.array_equal(pooled.data, ref_pooled.data)
+        assert np.array_equal(weights.data, ref_weights.data)
+        for g, ref in zip(got, want):
+            assert np.array_equal(g, ref)
+
+    def test_queries_broadcast_over_batch_match_cross_attention_chain(self):
+        rng = np.random.default_rng(1)
+        patch_data, query_data = rng.normal(size=(3, 5, 8)), rng.normal(size=(6, 8))
+        patches = Tensor(patch_data, requires_grad=True)
+        queries = Tensor(query_data, requires_grad=True)
+        pooled, weights = _attention(queries, patches, patches)
+        got = _backward_through(pooled, weights, (queries, patches))
+
+        patches = Tensor(patch_data, requires_grad=True)
+        queries = Tensor(query_data, requires_grad=True)
+        ref_weights = T.softmax(T.mul(T.matmul(queries, T.transpose(patches, (0, 2, 1))),
+                                      1.0 / np.sqrt(8)), axis=-1)
+        ref_pooled = T.matmul(ref_weights, patches)
+        want = _backward_through(ref_pooled, ref_weights, (queries, patches))
+
+        assert np.array_equal(pooled.data, ref_pooled.data)
+        assert np.array_equal(weights.data, ref_weights.data)
+        for g, ref in zip(got, want):
+            assert np.array_equal(g, ref)
 
 
 class TestAUCrossAttention:
@@ -337,6 +403,57 @@ class TestForward:
         pooled, _ = au_cross_attention(out.patch_features,
                                        params.tensors["au_queries"])
         assert np.allclose(pooled.data, ref_pooled, atol=1e-10)
+
+
+def split_pos_embed_forward(images, params, training, run_seed, step):
+    """``forward`` with the earlier token assembly: ``pos_embed[1:]`` added
+    to the patch tokens and ``pos_embed[0]`` to the CLS token, separately."""
+    config, p = params.config, params.tensors
+    batch, d = images.shape[0], config.hidden_dim
+    tok = T.add(patch_embed(images, params), T.getitem(p["pos_embed"], slice(1, None)))
+    cls = T.add(p["cls_token"], T.getitem(p["pos_embed"], 0))
+    cls_row = T.broadcast_to(T.reshape(cls, (1, 1, d)), (batch, 1, d))
+    encoded = encoder_forward(T.concat([cls_row, tok], axis=1), params)
+    cls_feature = T.getitem(encoded, (slice(None), 0))
+    patch_features = T.getitem(encoded, (slice(None), slice(1, None)))
+    logits = pspi_head(cls_feature, params, training, run_seed, step)
+    if config.use_au_queries:
+        pooled, alpha = au_cross_attention(patch_features, p["au_queries"])
+        return logits, au_head(pooled, params), cls_feature, patch_features, alpha
+    return logits, au_head(cls_feature, params), cls_feature, patch_features, None
+
+
+@pytest.mark.parametrize("use_au_queries", [True, False])
+@pytest.mark.parametrize("heads", [1, 4])
+def test_one_positional_add_matches_split_assembly(use_au_queries, heads):
+    cfg = ModelConfig(image_size=32, patch_size=8, hidden_dim=16, num_layers=2,
+                      num_heads=heads, use_au_queries=use_au_queries)
+    rng = np.random.default_rng(heads)
+    images = rng.random((3, 32, 32, 3))
+    labels = np.array([0, 5, 16])
+    au_targets = Tensor(rng.random((3, 6)) * 3)
+
+    def run(model):
+        params = init_params(cfg, 7)
+        outs = model(images, params, True, 5, 3)
+        loss = T.add(cross_entropy(outs[0], labels), mse(outs[1], au_targets))
+        loss.backward()
+        return outs, {n: t.grad for n, t in params.tensors.items()}
+
+    def one_add(images, params, training, run_seed, step):
+        out = forward(images, params, training, run_seed, step)
+        return (out.pspi_logits, out.au_pred, out.cls_feature,
+                out.patch_features, out.attention_maps)
+
+    outs, grads = run(one_add)
+    ref_outs, ref_grads = run(split_pos_embed_forward)
+    for out, ref in zip(outs, ref_outs):
+        assert (out is None) == (ref is None)
+        assert out is None or np.array_equal(out.data, ref.data)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert grads["pos_embed"] is not None and grads["cls_token"] is not None
 
 
 class TestCheckpoint:

@@ -67,12 +67,13 @@ class TestAdamW:
         assert np.isclose(both["w"][0], fresh_out["w"][0], atol=1e-12)
 
 
-    @pytest.mark.parametrize("grads, lr, error", [
-        ({"a": np.ones(2), "b": np.ones(2)}, BOTH, DimensionError),
-        ({"a": np.ones(2), "b": np.ones(3)}, {"backbone": 0.1}, ParameterError),
-        ({"a": np.ones(2), "c": np.ones(3)}, BOTH, ParameterError),
-    ], ids=["shape of b", "b without rate", "unknown c"])
-    def test_rejected_step_leaves_state_untouched(self, grads, lr, error):
+    @pytest.mark.parametrize("grads, lr, error, dropped", [
+        ({"a": np.ones(2), "b": np.ones(2)}, BOTH, DimensionError, None),
+        ({"a": np.ones(2), "b": np.ones(3)}, {"backbone": 0.1}, ParameterError, None),
+        ({"a": np.ones(2), "c": np.ones(3)}, BOTH, ParameterError, None),
+        ({"a": np.ones(2), "b": np.ones(3)}, BOTH, ParameterError, "b"),
+    ], ids=["shape of b", "b without rate", "unknown c", "b not in params"])
+    def test_rejected_step_leaves_state_untouched(self, grads, lr, error, dropped):
         # ``a`` comes first and is valid: a check made inside the update loop
         # would have stepped it before raising on the second gradient.
         params = {"a": np.ones(2), "b": np.ones(3)}
@@ -81,6 +82,8 @@ class TestAdamW:
         before = ({n: a.copy() for n, a in state.m.items()},
                   {n: a.copy() for n, a in state.v.items()},
                   dict(state.param_steps))
+        # ``dropped`` keeps its optimizer state but leaves the step's params.
+        params = {n: a for n, a in params.items() if n != dropped}
         with pytest.raises(error) as err:
             adamw_step(params, grads, state, lr=lr)
         assert "'b'" in str(err.value) or "'c'" in str(err.value)
