@@ -45,8 +45,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.identities < 1 or self.expressions_per_identity < 1:
             raise ConfigError("identity and expression counts must be >= 1")
-        if len(self.views) < 1:
-            raise ConfigError("need at least one camera view")
+        views = np.asarray(self.views, dtype=float)
+        if views.size < 1 or not np.all(np.abs(views) <= 90.0):
+            raise ConfigError(f"dataset.views must be one or more camera yaws in "
+                              f"[-90, 90], got {self.views}")
         if self.resolution < 1:
             raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
         dist = np.asarray(self.pspi_distribution, dtype=float)

@@ -43,12 +43,15 @@ class ModelConfig:
     use_au_queries: bool = True
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "hidden_dim", "num_heads",
-                     "num_classes", "num_aus"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_layers < 0:
-            raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
+        for name, value in self.to_dict().items():
+            # Each field's default fixes its type; a float field takes an int too.
+            kind = type(self.__dataclass_fields__[name].default)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+            low = 0 if name == "num_layers" else 1
+            if kind is int and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout_p}")
         if not (np.isfinite(self.mlp_ratio)
@@ -106,7 +109,7 @@ class ModelOutput:
     au_pred: Tensor              # (B, 6), non-negative
     cls_feature: Tensor          # (B, D)
     patch_features: Tensor       # (B, N, D)
-    attention_maps: Tensor | None  # (B, 6, N); None without AU queries
+    attention_maps: Tensor | None  # (B, 6, N), constant; None without AU queries
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -194,31 +197,11 @@ def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
                     params.tensors["patch_proj.b"])
 
 
-def _attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax of ``q @ k^T / sqrt(q.shape[-1])`` over the keys pools ``v``;
-    leading axes broadcast. Returns (pooled values, weights)."""
-    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = T.mul(T.matmul(q, T.transpose(k, swap)), 1.0 / np.sqrt(q.shape[-1]))
-    weights = T.softmax(scores, axis=-1)
-    return T.matmul(weights, v), weights
-
-
 def _self_attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    batch, tokens, d = x.shape
-    heads = params.config.num_heads
-    head_dim = d // heads
     p = params.tensors
-
-    def proj(name, bias):
-        return T.linear(x, p[prefix + name], p[prefix + bias])
-
-    def split_heads(t):
-        return T.transpose(T.reshape(t, (batch, tokens, heads, head_dim)),
-                           (0, 2, 1, 3))
-
-    mixed, _ = _attention(*(split_heads(proj("w" + n, "b" + n)) for n in "qkv"))
-    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, tokens, d))
-    return T.linear(merged, p[prefix + "wo"], p[prefix + "bo"])
+    q, k, v = (T.linear(x, p[prefix + "w" + n], p[prefix + "b" + n]) for n in "qkv")
+    mixed, _ = T.attention(q, k, v, params.config.num_heads)
+    return T.linear(mixed, p[prefix + "wo"], p[prefix + "bo"])
 
 
 def encoder_forward(tokens: Tensor, params: ModelParams) -> Tensor:
@@ -252,7 +235,8 @@ def au_cross_attention(patches: Tensor, queries: Tensor) -> tuple[Tensor, Tensor
     if patches.shape[2] != queries.shape[1]:
         raise DimensionError(
             f"feature dims disagree: patches {patches.shape} vs queries {queries.shape}")
-    return _attention(queries, patches, patches)
+    pooled, weights = T.attention(queries, patches, patches, 1)
+    return pooled, Tensor(weights[:, 0])
 
 
 def au_head(features: Tensor, params: ModelParams) -> Tensor:

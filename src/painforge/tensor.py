@@ -100,9 +100,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return getitem(self, index)
 
@@ -215,30 +212,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy's stacked-matrix broadcasting."""
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
-            f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise DimensionError(
-            f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one node.
 
@@ -274,18 +247,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
     def backward(g):
         _accum(a, g.reshape(a.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _coerce(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out_data = a.data.transpose(axes)
-
-    def backward(g):
-        _accum(a, g.transpose(inverse))
 
     return _make(out_data, (a,), backward)
 
@@ -406,6 +367,54 @@ def softmax(a, axis: int = -1) -> Tensor:
         _accum(a, out_data * (g - inner))
 
     return _make(out_data, (a,), backward)
+
+
+def attention(q, k, v, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled-dot-product attention as one node. ``q`` (..., Tq, D)
+    broadcasts against the (B, Tk, D) keys and values; each last axis splits
+    into ``heads`` groups. Returns pooled values (B, Tq, D) and constant weights
+    (B, heads, Tq, Tk). Forward and backward evaluate the numpy expressions of
+    the matmul / softmax chain on the same views, so they keep its bits."""
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    d = k.shape[-1]
+    if k.ndim != 3 or v.shape != k.shape or q.shape[-1:] != (d,) or q.ndim < 2 \
+            or q.shape[:-2] not in ((), (1,), k.shape[:1]) or not 0 < heads <= d or d % heads:
+        raise DimensionError(f"attention of {heads} heads cannot take {q.shape} queries "
+                             f"over {k.shape} keys and {v.shape} values")
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def split(x):  # (..., T, D) -> (..., heads, T, D / heads)
+        return x.reshape(x.shape[:-1] + (heads, d // heads)).swapaxes(-2, -3)
+
+    def merge(x):  # (..., heads, T, D / heads) -> (..., T, D)
+        return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], d))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = np.matmul(qh, kh.swapaxes(-1, -2))
+    weights *= scale
+    # A softmax turns an overflowing score into finite weights; stop here as
+    # the chain's own checks would.
+    if not np.all(np.isfinite(weights)):
+        raise NumericError(f"attention: non-finite scores for queries of shape {q.shape}")
+    weights -= np.max(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g = split(g)
+        if v.requires_grad:
+            _accum(v, merge(np.matmul(weights.swapaxes(-1, -2), g)))
+        if q.requires_grad or k.requires_grad:
+            g_scores = np.matmul(g, vh.swapaxes(-1, -2))
+            g_scores -= (g_scores * weights).sum(axis=-1, keepdims=True)
+            g_scores *= weights
+            g_scores *= scale
+            if q.requires_grad:
+                _accum(q, merge(_unbroadcast(np.matmul(g_scores, kh), qh.shape)))
+            if k.requires_grad:
+                _accum(k, merge(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)))
+
+    return _make(merge(np.matmul(weights, vh)), (q, k, v), backward, "attention"), weights
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

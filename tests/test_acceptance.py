@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import primitive_chains as chains
 from painforge import tensor as T
 from painforge.evaluation import evaluate_model
 from painforge.facesynth.au import AUVector, pspi_score
@@ -67,11 +68,17 @@ def test_criterion_2_gradient_correctness():
     lin_x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     lin_const_x = Tensor(rng.normal(size=(2, 3, 4)))
     w233 = Tensor(rng.random((2, 3, 3)) + 0.5)
+    att_q, att_k, att_v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
+    att_q2 = Tensor(rng.normal(size=(3, 4)))
+    w234 = Tensor(rng.random((2, 3, 4)) + 0.5)
+
+    def attention(q, k, v, heads):
+        return T.tsum(T.attention(q, k, v, heads)[0] * w234)
 
     op_cases = {
         "add": (6, lambda x: T.tsum((x + 1.5) * w6)),
         "mul": (6, lambda x: T.tsum(x * w6)),
-        "matmul": ((2, 4), lambda x: T.tsum((x @ mat) * w23)),
+        "matmul": ((2, 4), lambda x: T.tsum(chains.matmul(x, mat) * w23)),
         "linear": ((2, 3, 4), lambda x: T.tsum(T.linear(x, lin_w, lin_b) * w233)),
         "linear_weight": ((4, 3), lambda x: T.tsum(
             T.linear(lin_x, x, lin_b) * w233)),
@@ -79,7 +86,7 @@ def test_criterion_2_gradient_correctness():
             T.linear(lin_const_x, x[:12].reshape(4, 3), x[12:]) * w233)),
         "sum": (6, lambda x: T.tsum(_square(T.tsum(x.reshape(2, 3), axis=1)))),
         "reshape_transpose": (6, lambda x: T.tsum(
-            T.transpose(x.reshape(2, 3), (1, 0)) * T.transpose(w23, (1, 0)))),
+            chains.transpose(x.reshape(2, 3), (1, 0)) * chains.transpose(w23, (1, 0)))),
         "getitem": (8, lambda x: T.tsum(x[1:7] * w6)),
         "concat": (6, lambda x: T.tsum(_square(T.concat([x.reshape(2, 3), w23], axis=0)))),
         "broadcast": (6, lambda x: T.tsum(T.broadcast_to(x.reshape(1, 6), (3, 6)) * 0.7)),
@@ -93,6 +100,11 @@ def test_criterion_2_gradient_correctness():
         "kl_temperature": (12, lambda x: kl_temperature(teacher_logits,
                                                         x.reshape(2, 6), 4.0)),
         "mse": (12, lambda x: mse(x.reshape(2, 6), mse_target)),
+        "attention_q": ((2, 3, 4), lambda x: attention(x, att_k, att_v, 2)),
+        "attention_k": ((2, 3, 4), lambda x: attention(att_q, x, att_v, 2)),
+        "attention_v": ((2, 3, 4), lambda x: attention(att_q, att_k, x, 2)),
+        "attention_q_2d": ((3, 4), lambda x: attention(x, att_k, att_k, 1)),
+        "attention_kv_shared": ((2, 3, 4), lambda x: attention(att_q2, x, x, 1)),
     }
     for name, (size, f) in op_cases.items():
         worst = 0.0

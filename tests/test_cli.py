@@ -77,16 +77,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [("dataset.pspi_distribution", "1,x"),
                                             ("dataset.views", "0,abc"),
+                                            ("dataset.views", "0,120"),
+                                            ("dataset.views", "nan"),
                                             ("dataset.resolution", "0")])
     def test_bad_dataset_value_rejected_at_parse(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):
             parse_config_text(f"{key} = {value}\n")
 
     @pytest.mark.parametrize("key, value", [("dataset.pspi_distribution", "1,x"),
-                                            ("dataset.views", "0,abc")])
+                                            ("dataset.views", "0,abc"),
+                                            ("dataset.views", "0,120"),
+                                            ("dataset.views", "nan")])
     def test_malformed_dataset_value_exits_2(self, tmp_path, capsys, key, value):
+        # Replace the key's line: a second line for it is a duplicate-key error.
+        toy = "".join(line + "\n" for line in TOY_CONFIG.splitlines()
+                      if not line.startswith(key + " "))
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TOY_CONFIG + f"{key} = {value}\nout = {tmp_path / 'run'}\n")
+        bad.write_text(toy + f"{key} = {value}\nout = {tmp_path / 'run'}\n")
         assert main(["generate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
@@ -284,6 +291,10 @@ class TestTrainEvaluate:
         "unknown format": lambda ix, d: ix.update(format="v9"),
         "no config": lambda ix, d: ix.pop("config"),
         "unknown config key": lambda ix, d: ix["config"].update(bananas=1),
+        "num_layers a float": lambda ix, d: ix["config"].update(num_layers=1.0),
+        "hidden_dim a float": lambda ix, d: ix["config"].update(hidden_dim=16.0),
+        "num_heads a float": lambda ix, d: ix["config"].update(num_heads=2.0),
+        "use_au_queries a string": lambda ix, d: ix["config"].update(use_au_queries="no"),
         "tensor of the wrong shape": lambda ix, d: save_tensor(
             d / ix["tensors"]["pspi_head.w3"]["file"], np.zeros((3, 17))),
     }
@@ -315,6 +326,19 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert "--thresholds" in err and "'2,x'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("thresholds", ["-1", "17"])
+    def test_evaluate_out_of_range_thresholds_exits_2(self, generated, tmp_path,
+                                                      capsys, thresholds):
+        _, manifest = generated
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(manifest),
+                     "--thresholds", thresholds])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"thresholds [{thresholds}]" in err and "Traceback" not in err
 
     def test_same_seed_reproduces_checkpoint_bytes(self, generated, tmp_path):
         config_file, manifest = generated

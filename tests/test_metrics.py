@@ -445,3 +445,10 @@ def test_pinned_report_digest():
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == \
         "2e49636985cba32abae3a60c68d00e08d71ef9c59494377cd5081de7482ee414"
+
+
+@pytest.mark.parametrize("threshold", [-1, 0, 17, 2.5])
+def test_binary_threshold_outside_the_score_range_rejected(threshold):
+    # -1 sliced the scores as pspi_probs[:, -1:17], scoring class 16 alone.
+    with pytest.raises(ConfigError, match="threshold"):
+        evaluation_report(pinned_prediction_set(), None, (2, threshold))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import primitive_chains as chains
 from painforge import tensor as T
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
-from painforge.model import (ModelConfig, _attention, au_cross_attention,
+from painforge.model import (ModelConfig, au_cross_attention,
                              au_head, encoder_forward, forward, init_params,
                              load_checkpoint, patch_embed, pspi_head,
                              save_checkpoint)
@@ -127,57 +128,66 @@ class TestEncoder:
         assert "linear" in str(err.value)
 
 
-def _backward_through(pooled, weights, inputs):
-    """Backpropagate a fixed random weighting of both outputs and return
-    the gradients of ``inputs``."""
-    rng = np.random.default_rng(11)
-    loss = T.add(T.tsum(T.mul(pooled, rng.normal(size=pooled.shape))),
-                 T.tsum(T.mul(weights, rng.normal(size=weights.shape))))
-    loss.backward()
-    return [t.grad for t in inputs]
+def _attention_case(rng, broadcast_queries):
+    """Random attention inputs over batch, token and head counts, head width
+    and input scale; broadcast queries are 2-D and the keys are the values."""
+    batch, n_q, n_k = (int(n) for n in rng.integers(1, 9, size=3))
+    heads, head_dim = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    d, scale = heads * head_dim, 10.0 ** rng.uniform(-2.0, 1.0)
+    q = rng.normal(size=(n_q, d) if broadcast_queries else (batch, n_q, d)) * scale
+    k = rng.normal(size=(batch, n_k, d)) * scale
+    v = k if broadcast_queries else rng.normal(size=(batch, n_k, d)) * scale
+    return q, k, v, heads, rng.normal(size=(batch, n_q, d))
+
+
+def _run_attention(attention, q, k, v, heads, upstream):
+    """Pooled values, weights and the q, k, v gradients of sum(pooled * upstream)."""
+    tq = Tensor(q, requires_grad=True)
+    tk = Tensor(k, requires_grad=True)
+    tv = tk if v is k else Tensor(v, requires_grad=True)
+    pooled, weights = attention(tq, tk, tv, heads)
+    T.tsum(T.mul(pooled, upstream)).backward()
+    weights = weights.data if isinstance(weights, Tensor) else weights
+    return pooled.data, weights, (tq.grad, tk.grad, tv.grad)
+
+
+def _assert_bit_equal_to_chain(rng, broadcast_queries, cases=200):
+    for _ in range(cases):
+        q, k, v, heads, upstream = _attention_case(rng, broadcast_queries)
+        pooled, weights, grads = _run_attention(T.attention, q, k, v, heads, upstream)
+        ref_pooled, ref_weights, ref_grads = _run_attention(
+            chains.attention, q, k, v, heads, upstream)
+        assert np.array_equal(pooled, ref_pooled)
+        assert np.array_equal(weights.reshape(ref_weights.shape), ref_weights)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
 
 
 class TestAttention:
-    """``_attention`` is the scaled-dot-product chain both attention sites
-    ran inline, bit for bit in values and gradients."""
+    """``T.attention`` is the chain of primitive nodes both attention sites
+    ran, bit for bit in values and in q, k, v gradients."""
 
     def test_multi_head_matches_self_attention_chain(self):
-        rng = np.random.default_rng(0)
-        arrays = [rng.normal(size=(2, 4, 5, 8)) for _ in range(3)]
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
-        pooled, weights = _attention(q, k, v)
-        got = _backward_through(pooled, weights, (q, k, v))
-
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
-        ref_weights = T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                                      1.0 / np.sqrt(8)), axis=-1)
-        ref_pooled = T.matmul(ref_weights, v)
-        want = _backward_through(ref_pooled, ref_weights, (q, k, v))
-
-        assert np.array_equal(pooled.data, ref_pooled.data)
-        assert np.array_equal(weights.data, ref_weights.data)
-        for g, ref in zip(got, want):
-            assert np.array_equal(g, ref)
+        _assert_bit_equal_to_chain(np.random.default_rng(0), broadcast_queries=False)
 
     def test_queries_broadcast_over_batch_match_cross_attention_chain(self):
-        rng = np.random.default_rng(1)
-        patch_data, query_data = rng.normal(size=(3, 5, 8)), rng.normal(size=(6, 8))
-        patches = Tensor(patch_data, requires_grad=True)
-        queries = Tensor(query_data, requires_grad=True)
-        pooled, weights = _attention(queries, patches, patches)
-        got = _backward_through(pooled, weights, (queries, patches))
+        # One head runs the AU-query chain itself, on the unsplit inputs.
+        _assert_bit_equal_to_chain(np.random.default_rng(1), broadcast_queries=True)
 
-        patches = Tensor(patch_data, requires_grad=True)
-        queries = Tensor(query_data, requires_grad=True)
-        ref_weights = T.softmax(T.mul(T.matmul(queries, T.transpose(patches, (0, 2, 1))),
-                                      1.0 / np.sqrt(8)), axis=-1)
-        ref_pooled = T.matmul(ref_weights, patches)
-        want = _backward_through(ref_pooled, ref_weights, (queries, patches))
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        for q, k, v, heads in [(x, x, x, 3), (x, x, Tensor(np.zeros((2, 5, 4))), 1),
+                               (Tensor(np.zeros((3, 4, 3, 4))), x, x, 1),
+                               (Tensor(np.zeros((3, 3, 4))), x, x, 1),
+                               (Tensor(np.zeros((3, 5))), x, x, 1)]:
+            with pytest.raises(DimensionError):
+                T.attention(q, k, v, heads)
 
-        assert np.array_equal(pooled.data, ref_pooled.data)
-        assert np.array_equal(weights.data, ref_weights.data)
-        for g, ref in zip(got, want):
-            assert np.array_equal(g, ref)
+    def test_overflowing_score_names_the_op(self):
+        x = Tensor(np.full((1, 2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            T.attention(x, x, x, 1)
+        assert str(err.value).startswith("attention: non-finite")
 
 
 class TestAUCrossAttention:
@@ -249,8 +259,8 @@ class TestHeads:
 
     def test_au_head_hand_trace_one_dim(self):
         # relu(-relu(5)) with unit weights: the second ReLU clamps to 0.
-        h = T.relu(T.add(T.matmul(Tensor([[5.0]]), Tensor([[1.0]])), Tensor([0.0])))
-        y = T.relu(T.add(T.matmul(h, Tensor([[-1.0]])), Tensor([0.0])))
+        h = T.relu(T.add(chains.matmul(Tensor([[5.0]]), Tensor([[1.0]])), Tensor([0.0])))
+        y = T.relu(T.add(chains.matmul(h, Tensor([[-1.0]])), Tensor([0.0])))
         assert y.data[0, 0] == 0.0
 
     def test_pspi_head_output_width_17(self):
@@ -364,9 +374,9 @@ class TestForward:
         def f(x):
             # patchify + centering redone by hand so the graph reaches x
             imgs = T.mul(T.add(x, T.mul(T.tsum(x), -1.0 / x.size)), 2.0)
-            patches = T.reshape(T.transpose(T.reshape(
+            patches = T.reshape(chains.transpose(T.reshape(
                 imgs, (2, 2, 4, 2, 4, 3)), (0, 1, 3, 2, 4, 5)), (2, 4, 48))
-            tok = T.add(T.matmul(patches, params.tensors["patch_proj.w"]),
+            tok = T.add(chains.matmul(patches, params.tensors["patch_proj.w"]),
                         params.tensors["patch_proj.b"])
             tok = T.add(tok, params.tensors["pos_embed"][1:])
             cls = T.add(params.tensors["cls_token"],

@@ -11,8 +11,7 @@ from painforge.errors import (DimensionError, LabelError, NumericError,
                               ParameterError)
 from painforge.rng import keyed_rng
 from painforge.tensor import (Tensor, cross_entropy, dropout, gelu, gradcheck,
-                              kl_temperature, layer_norm, matmul, mse, relu,
-                              softmax)
+                              kl_temperature, layer_norm, mse, relu, softmax)
 
 # Values computed by standalone scalar scripts before the engine existed.
 KL_ORACLE_T1 = 0.13081203594113697
@@ -24,25 +23,27 @@ def _square(t):
 
 
 class TestMatmul:
+    """The matmul oracle the attention chain is built from."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = matmul(Tensor(np.eye(2)), Tensor(a))
+        out = chains.matmul(Tensor(np.eye(2)), Tensor(a))
         assert np.array_equal(out.data, a)
 
     def test_hand_product(self):
-        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                     Tensor([[5.0, 6.0], [7.0, 8.0]]))
+        out = chains.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                            Tensor([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError) as err:
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            chains.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         assert "(2, 3)" in str(err.value)
 
     def test_batched_broadcast(self):
         q = np.random.default_rng(0).normal(size=(6, 4))
         p = np.random.default_rng(1).normal(size=(2, 4, 5))
-        out = matmul(Tensor(q), Tensor(p))
+        out = chains.matmul(Tensor(q), Tensor(p))
         assert out.shape == (2, 6, 5)
         assert np.allclose(out.data, q @ p)
 
@@ -101,7 +102,7 @@ class TestFusedOps:
             x = Tensor(rng.normal(size=shape) * rng.uniform(0.1, 10.0))
             w, b = Tensor(rng.normal(size=(16, 9))), Tensor(rng.normal(size=9))
             assert np.array_equal(T.linear(x, w, b).data,
-                                  T.add(T.matmul(x, w), b).data)
+                                  T.add(chains.matmul(x, w), b).data)
             gamma = Tensor(rng.random(16) + 0.5)
             beta = Tensor(rng.normal(size=16))
             assert np.array_equal(layer_norm(x, gamma, beta).data,
@@ -123,8 +124,9 @@ class TestFusedOps:
         assert x.grad is None and b.grad is None
         assert np.allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None])
         q = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        T.tsum(matmul(q, Tensor(rng.normal(size=(2, 4, 3))))).backward()
-        assert q.grad.shape == (6, 4)
+        kv = Tensor(rng.normal(size=(2, 5, 4)))
+        T.tsum(T.attention(q, kv, kv, 2)[0]).backward()
+        assert q.grad.shape == (6, 4) and kv.grad is None
 
     def test_non_finite_output_names_the_op(self):
         x = Tensor(np.full((1, 2), 1e308))
@@ -313,11 +315,17 @@ class TestGradcheck:
         labels = np.array([1, 3])
         z_teacher = Tensor(rng.normal(size=(2, 6)))
         targets = Tensor(rng.normal(size=(2, 6)))
+        att_q, att_k, att_v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
+        att_q2 = Tensor(rng.normal(size=(3, 4)))
+        att_w = Tensor(rng.random((2, 3, 4)) + 0.5)
+
+        def pooled(q, k, v, heads):
+            return T.tsum(T.attention(q, k, v, heads)[0] * att_w)
 
         cases = {
             "add": lambda x: T.tsum((x + b_const.data[0, 0]) * w6),
             "mul": lambda x: T.tsum(x * w6),
-            "matmul": lambda x: T.tsum((x @ b_const) * w_const),
+            "matmul": lambda x: T.tsum(chains.matmul(x, b_const) * w_const),
             "sum_axis": lambda x: T.tsum(_square(T.tsum(x.reshape(2, 3), axis=1))),
             "softmax": lambda x: T.tsum(softmax(x.reshape(2, 3), -1) * w_const),
             "layer_norm": lambda x: T.tsum(layer_norm(x.reshape(1, 6), gamma, beta) * w6),
@@ -331,13 +339,20 @@ class TestGradcheck:
             "concat": lambda x: T.tsum(_square(T.concat([x.reshape(2, 3), w_const], axis=0))),
             "getitem": lambda x: T.tsum(x[1:5] * w6.data[0]),
             "broadcast": lambda x: T.tsum(T.broadcast_to(x.reshape(1, 6), (3, 6)) * 0.7),
+            "attention_q": lambda x: pooled(x, att_k, att_v, 2),
+            "attention_k": lambda x: pooled(att_q, x, att_v, 2),
+            "attention_v": lambda x: pooled(att_q, att_k, x, 2),
+            "attention_q_2d": lambda x: pooled(x, att_k, att_k, 1),
+            "attention_kv_shared": lambda x: pooled(att_q2, x, x, 1),
         }
+        sizes = {"matmul": (2, 4), "kl_student": 12, "mse": 12,
+                 "attention_q_2d": (3, 4),
+                 **{name: (2, 3, 4) for name in ("attention_q", "attention_k",
+                                                 "attention_v", "attention_kv_shared")}}
         worst = {}
         for trial in range(10):
             for name, f in cases.items():
-                size = 8 if name == "matmul" else (12 if name in
-                                                   ("kl_student", "mse") else 6)
-                point = rng.normal(size=size if name != "matmul" else (2, 4))
+                point = rng.normal(size=sizes.get(name, 6))
                 if name == "relu":
                     point = point + np.sign(point) * 0.2  # keep off the kink
                 err = gradcheck(f, Tensor(point), h=1e-5)
