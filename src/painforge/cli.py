@@ -19,6 +19,7 @@ from .fileio import file_sha256, read_manifest, write_manifest
 from .metrics import subject_holdout
 from .rng import STREAM_SPLIT
 from .training import train_student, train_teacher
+from .workers import worker_count
 
 TABLE_ROWS = (("Baseline", "baseline"),
               ("+AU-Query", "auquery"),
@@ -236,6 +237,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        worker_count()  # a bad PAINFORGE_THREADS ends any command before it starts
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ from pathlib import Path
 from . import tensor as T
 from .fileio import read_manifest
 from .facesynth.dataset import load_model_inputs
-from .metrics import PredictionSet, evaluation_report, subject_kfold
+from .metrics import (PredictionSet, check_thresholds, evaluation_report,
+                      subject_kfold)
 from .model import load_checkpoint, predict
 
 
@@ -28,9 +29,11 @@ def evaluate_model(checkpoint_dir, manifest_path, k_folds: int | None = None,
     """Inference plus the full metric battery, per fold and aggregated.
 
     With ``k_folds``, the manifest's subjects split into that many folds drawn
-    from ``seed``; without, the whole manifest is one block.
+    from ``seed``; without, the whole manifest is one block. The thresholds
+    are checked against the checkpoint's classes before any data is read.
     """
     params = load_checkpoint(checkpoint_dir)
+    check_thresholds(thresholds, params.config.num_classes)
     pred = prediction_set_from_manifest(params, manifest_path, batch_size)
     fold_plan = (None if k_folds is None
                  else subject_kfold(pred.subject_id.tolist(), k_folds, seed))

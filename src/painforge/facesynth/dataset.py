@@ -8,7 +8,6 @@ line-oriented JSON manifest tying frames to labels and demographics.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..fileio import load_tensor, save_tensor, write_manifest
 from ..rng import STREAM_PSPI_TARGET, derive_seed, keyed_rng
+from ..workers import worker_count
 from .au import NUM_PSPI_CLASSES, AUVector, pspi_score, sample_au_config
 from .demographics import (DemographicProfile, reference_config,
                            sample_demographics, scale_config)
@@ -129,23 +129,6 @@ def _render_identity_star(args) -> None:
     _render_identity(*args)
 
 
-def _worker_count() -> int:
-    """``PAINFORGE_THREADS`` (at least 1) if set, else the CPUs this process may use."""
-    raw = os.environ.get("PAINFORGE_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(
-            f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
-    return workers
-
-
 def _identity_intact(out: Path, rows: list[dict], res: int) -> bool:
     """Whether every file the identity's rows name loads with its shape."""
     shapes = {r["rgb_path"]: (res, res, 3) for r in rows}
@@ -172,7 +155,7 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
     pool of worker processes. The bytes are the same either way. A worker
     process that dies raises ``DataError``.
     """
-    workers = _worker_count()
+    workers = worker_count()
     out = Path(out_dir)
     try:
         (out / "frames").mkdir(parents=True, exist_ok=True)
@@ -217,17 +200,18 @@ def heatmap_of(row: dict) -> str | None:
 
 
 def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarray:
-    """Model inputs for ``config`` as one preallocated float64 stack, with a
-    channel axis for heatmap models; a None path is the all-zero heatmap of a
-    neutral frame. The first file must have the model's resolution
-    (ConfigError) and every other image its shape (DataError naming the file).
+    """Model inputs for ``config`` as one preallocated stack in the files' own
+    dtype (float32 for a built dataset), with a channel axis for heatmap
+    models; a None path is the all-zero heatmap of a neutral frame. The first
+    file must have the model's resolution (ConfigError) and every other image
+    its shape and dtype (DataError naming the file).
     """
     if not paths:
         raise DataError("manifest has no rows to load")
     size = config.image_size
 
-    def read(path):
-        return (np.zeros((size, size)) if path is None
+    def read(path, dtype=np.float32):
+        return (np.zeros((size, size), dtype) if path is None
                 else load_tensor(Path(root) / path))
 
     lead = next((i for i, path in enumerate(paths) if path is not None), 0)
@@ -237,12 +221,13 @@ def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarr
             f"data resolution {first.shape[0]}x{first.shape[1]} does not "
             f"match model config {size}x{size}")
     shape = first.shape + ((1,) if config.in_channels == 1 else ())
-    stacked = np.empty((len(paths),) + shape)
+    stacked = np.empty((len(paths),) + shape, first.dtype)
     for i, path in enumerate(paths):
-        image = first if i == lead else read(path)
-        if image.shape != first.shape:
-            raise DataError(f"{path}: shape {image.shape} differs from "
-                            f"{first.shape} of {paths[lead]}")
+        image = first if i == lead else read(path, first.dtype)
+        if image.shape != first.shape or image.dtype != first.dtype:
+            raise DataError(f"{path}: {image.dtype} image of shape {image.shape} "
+                            f"differs from the {first.dtype} {first.shape} of "
+                            f"{paths[lead]}")
         stacked[i] = image.reshape(shape)
     return stacked
 
@@ -253,8 +238,8 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     A rigged row without its heatmap is a DataError, checked before any file
     is read. RGB models see every row. Heatmap models (one channel) see the
     first row of each distinct ``heatmap_of``, neutral rows excluded; a
-    manifest without heatmaps is a DataError for them. The images are checked
-    by ``load_stacked``.
+    manifest without heatmaps is a DataError for them. The inputs are
+    ``load_stacked``'s checked float32 stack.
     """
     for row in rows:
         if row["expression_id"] is not None and not row["heatmap_path"]:

@@ -240,13 +240,18 @@ def _metrics_block(pred: PredictionSet, thresholds) -> tuple[dict, dict]:
     return block, per_class
 
 
+def check_thresholds(thresholds, num_classes: int) -> None:
+    """Binary thresholds must be integers in [1, num_classes - 1] (ConfigError)."""
+    top = num_classes - 1
+    if not all(isinstance(t, (int, np.integer)) and 1 <= t <= top for t in thresholds):
+        raise ConfigError(f"binary thresholds {list(thresholds)} must be integers in [1, {top}]")
+
+
 def evaluation_report(pred: PredictionSet, fold_plan: FoldPlan | None = None,
                       thresholds=(2, 3)) -> dict:
     """Metrics over the whole set and, when a fold plan is given, per fold
     with an unweighted mean across folds as the aggregate."""
-    top = pred.pspi_probs.shape[1] - 1
-    if not all(isinstance(t, (int, np.integer)) and 1 <= t <= top for t in thresholds):
-        raise ConfigError(f"binary thresholds {list(thresholds)} must be integers in [1, {top}]")
+    check_thresholds(thresholds, pred.pspi_probs.shape[1])
     report: dict = {"thresholds": list(thresholds)}
     report["overall"], per_class = _metrics_block(pred, thresholds)
     report["per_class_auroc"] = {str(c): v for c, v in per_class.items()}

@@ -10,6 +10,7 @@ intensity per unit through a small shared head.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .errors import ConfigError, DataError, DimensionError, NumericError
 from .fileio import load_tensor, save_tensor
 from .rng import STREAM_DROPOUT, STREAM_INIT, keyed_rng
 from .tensor import Tensor
+from .workers import worker_count
 
 # Dropout call sites inside the pain-intensity head.
 _DROP_SITE_PSPI_1 = 1
@@ -184,15 +186,20 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 def patch_embed(images: np.ndarray, params: ModelParams) -> Tensor:
     """Project the non-overlapping row-major patches of ``forward``'s checked
-    float64 (B, H, W, C) images. Each image is mean-centered and rescaled first
-    so patch tokens do not share one dominant brightness direction, for dense
-    RGB and sparse heatmap inputs alike."""
+    float32 or float64 (B, H, W, C) images. Each image is mean-centered and
+    rescaled first so patch tokens do not share one dominant brightness
+    direction, for dense RGB and sparse heatmap inputs alike. The images are
+    only read: the patches are their one float64 copy."""
     p = params.config.patch_size
-    images = images - images.mean(axis=(1, 2, 3), keepdims=True)
-    images *= 2.0  # in place: one batch-sized temporary, the same bits
     batch, h, w, c = images.shape
-    patches = images.reshape(batch, h // p, p, w // p, p, c).transpose(
-        0, 1, 3, 2, 4, 5).reshape(batch, (h // p) * (w // p), -1)
+    mean = images.mean(axis=(1, 2, 3), dtype=np.float64)
+    patches = np.empty((batch, h // p, w // p, p, p, c))
+    # A float32 -> float64 cast in this assignment is exact.
+    patches[...] = images.reshape(batch, h // p, p, w // p, p, c).transpose(
+        0, 1, 3, 2, 4, 5)
+    patches = patches.reshape(batch, (h // p) * (w // p), -1)
+    patches -= mean[:, None, None]
+    patches *= 2.0
     return T.linear(Tensor(patches), params.tensors["patch_proj.w"],
                     params.tensors["patch_proj.b"])
 
@@ -267,7 +274,9 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
             run_seed: int = 0, step: int = 0) -> ModelOutput:
     """Full model: patch embedding, encoder, then both prediction branches."""
     config = params.config
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images)
+    if images.dtype != np.float32:  # float32 is cast once, in patch_embed
+        images = images.astype(np.float64, copy=False)
     if images.ndim != 4 or images.shape[1] != config.image_size or \
             images.shape[2] != config.image_size or images.shape[3] != config.in_channels:
         raise ConfigError(
@@ -299,14 +308,24 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
 def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
     """Eval-mode inference in batches of ``batch_size``, returning numpy
     (pspi_logits, au_pred, cls_features); softmax the logits for probabilities.
-    The last bits of the outputs can depend on ``batch_size``."""
+    Up to ``worker_count()`` batches run at once, on threads; each batch
+    computes alone, so the bits never depend on that count. The last bits of
+    the outputs can depend on ``batch_size``."""
     constant = params.detach()
-    logits, aus, features = [], [], []
-    for lo in range(0, images.shape[0], batch_size):
+
+    def run(lo):
         out = forward(images[lo:lo + batch_size], constant, training=False)
-        logits.append(out.pspi_logits.data)
-        aus.append(out.au_pred.data)
-        features.append(out.cls_feature.data)
+        # cls_feature is a view of the whole encoder output; keep only its rows.
+        return out.pspi_logits.data, out.au_pred.data, out.cls_feature.data.copy()
+
+    starts = range(0, images.shape[0], batch_size)
+    workers = min(worker_count(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outs = list(pool.map(run, starts))
+    else:
+        outs = [run(lo) for lo in starts]
+    logits, aus, features = zip(*outs)
     return np.concatenate(logits), np.concatenate(aus), np.concatenate(features)
 
 

@@ -225,7 +225,8 @@ def linear(x, w, b) -> Tensor:
             f"linear needs (in, out) weights and (out,) bias, got {w.shape} and {b.shape}")
     if x.shape[-1:] != w.shape[:1]:
         raise DimensionError(f"linear input {x.shape} does not match weights {w.shape}")
-    out_data = np.matmul(x.data, w.data) + b.data
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -320,12 +321,23 @@ def relu(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     a = _coerce(a)
-    cdf = 0.5 * (1.0 + sp_special.erf(a.data / _SQRT2))
+    # In place, each step as in 0.5 * (1 + erf(a / sqrt 2)): the same bits.
+    cdf = a.data / _SQRT2
+    sp_special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = a.data * cdf
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        _accum(a, g * (cdf + a.data * pdf))
+        # g * (cdf + a * pdf), pdf = exp(-a * a / 2) / sqrt(2 pi), in one buffer
+        grad = -0.5 * a.data
+        grad *= a.data
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI
+        grad *= a.data
+        grad += cdf
+        grad *= g
+        _accum(a, grad)
 
     return _make(out_data, (a,), backward)
 

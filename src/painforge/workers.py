@@ -1,0 +1,24 @@
+"""The one worker-count rule, shared by dataset builds and batched inference."""
+
+from __future__ import annotations
+
+import os
+
+from .errors import ConfigError
+
+
+def worker_count() -> int:
+    """``PAINFORGE_THREADS`` (at least 1) if set, else the CPUs this process may use."""
+    raw = os.environ.get("PAINFORGE_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"PAINFORGE_THREADS must be an integer, got {raw!r}") from exc
+    if workers < 1:
+        raise ConfigError(
+            f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
+    return workers

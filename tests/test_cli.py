@@ -340,6 +340,21 @@ class TestTrainEvaluate:
         assert code == 2
         assert f"thresholds [{thresholds}]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, named", [("abc", "'abc'"), ("0", "got 0"),
+                                            ("-3", "got -3")])
+    def test_evaluate_bad_threads_exits_2(self, generated, tmp_path, capsys,
+                                          monkeypatch, raw, named):
+        _, manifest = generated
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        monkeypatch.setenv("PAINFORGE_THREADS", raw)
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "PAINFORGE_THREADS" in err and named in err and "Traceback" not in err
+        assert not (ckpt.parent / "eval_report.json").exists()
+
     def test_same_seed_reproduces_checkpoint_bytes(self, generated, tmp_path):
         config_file, manifest = generated
         main(["train", "--role", "teacher", "--data", str(manifest),

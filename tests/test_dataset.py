@@ -103,9 +103,22 @@ class TestModelInputs:
                     first.setdefault((r["identity_id"], r["expression_id"]), r)
             oracle = np.stack([load_tensor(out / r["heatmap_path"])[..., None]
                                for r in first.values()])
-        oracle = oracle.astype(np.float64)
+        oracle = oracle.astype(np.float32)  # the files' own dtype, stacked as is
         assert inputs.dtype == oracle.dtype and inputs.shape == oracle.shape
         assert inputs.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_later_file_of_another_dtype_is_a_data_error(self, built, tmp_path,
+                                                         channels):
+        out, _, rows = built
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        key = "rgb_path" if channels == 3 else "heatmap_path"
+        victim = [r[key] for r in rows if r[key]][-1]
+        save_tensor(copy / victim, load_tensor(copy / victim).astype(np.float64))
+        with pytest.raises(DataError, match=f"{victim}: float64"):
+            load_model_inputs(copy, rows, ModelConfig(image_size=32,
+                                                      in_channels=channels))
 
     def test_frame_of_another_shape_is_a_data_error(self, built, tmp_path):
         out, _, rows = built

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from painforge import evaluation
 from painforge.errors import ConfigError, DataError
 from painforge.evaluation import evaluate_model, prediction_set_from_manifest
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
@@ -114,3 +115,17 @@ class TestEvaluateModel:
         a = evaluate_model(rgb_ckpt, manifest, k_folds=3, seed=1)
         b = evaluate_model(rgb_ckpt, manifest, k_folds=3, seed=1)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("thresholds", [(2, 17), (0,), (2.5,)])
+    def test_thresholds_checked_before_any_data_is_read(self, data_and_ckpts,
+                                                        monkeypatch, thresholds):
+        _, manifest, rgb_ckpt, _ = data_and_ckpts
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("inputs were read before the thresholds were checked")
+
+        monkeypatch.setattr(evaluation, "load_model_inputs", unreachable)
+        monkeypatch.setattr(evaluation, "predict", unreachable)
+        with pytest.raises(ConfigError, match=r"binary thresholds .* must be "
+                                              r"integers in \[1, 16\]"):
+            evaluate_model(rgb_ckpt, manifest, thresholds=thresholds)

@@ -1,16 +1,23 @@
 """Model architecture: shapes, attention equations, heads, checkpoints."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import primitive_chains as chains
+from painforge import model
 from painforge import tensor as T
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
 from painforge.model import (ModelConfig, au_cross_attention,
                              au_head, encoder_forward, forward, init_params,
-                             load_checkpoint, patch_embed, pspi_head,
+                             load_checkpoint, patch_embed, predict, pspi_head,
                              save_checkpoint)
 from painforge.tensor import Tensor, cross_entropy, gradcheck, mse
 
@@ -64,6 +71,17 @@ class TestPatchEmbed:
         expected = T.linear(Tensor(patches), params.tensors["patch_proj.w"],
                             params.tensors["patch_proj.b"])
         assert np.array_equal(patch_embed(images, params).data, expected.data)
+
+    @pytest.mark.parametrize("patch_size", [16, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_its_input_unchanged(self, patch_size, dtype):
+        # At patch_size == image_size the patch reshape is a view of the input.
+        cfg = ModelConfig(image_size=32, patch_size=patch_size, hidden_dim=32,
+                          num_layers=1, num_heads=2)
+        images = np.random.default_rng(4).random((3, 32, 32, 3)).astype(dtype)
+        before = images.copy()
+        patch_embed(images, init_params(cfg, 0))
+        assert images.dtype == dtype and images.tobytes() == before.tobytes()
 
     def test_wrong_channel_count(self):
         cfg = ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
@@ -323,6 +341,23 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward(np.zeros((1, 32, 32, 3)), params)
 
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_float32_input_equals_its_float64_copy(self, channels, training):
+        cfg = ModelConfig(image_size=64, patch_size=16, hidden_dim=32,
+                          num_layers=1, num_heads=2, in_channels=channels)
+        params = init_params(cfg, 0)
+        images = np.random.default_rng(channels).random((5, 64, 64, channels))
+        images = images.astype(np.float32)
+        if channels == 1:  # sparse, like a heatmap
+            images[images < 0.7] = 0.0
+        single = forward(images, params, training, 3, 2)
+        double = forward(images.astype(np.float64), params, training, 3, 2)
+        for field in ("pspi_logits", "au_pred", "cls_feature", "patch_features"):
+            a, b = getattr(single, field).data, getattr(double, field).data
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes(), field
+
     def test_baseline_variant_has_no_attention_maps(self):
         cfg = ModelConfig(image_size=64, patch_size=16, hidden_dim=32,
                           num_layers=1, num_heads=2, use_au_queries=False)
@@ -464,6 +499,109 @@ def test_one_positional_add_matches_split_assembly(use_au_queries, heads):
     for name in grads:
         assert np.array_equal(grads[name], ref_grads[name]), name
     assert grads["pos_embed"] is not None and grads["cls_token"] is not None
+
+
+class _RecordingThreadPool(ThreadPoolExecutor):
+    """The thread pool ``predict`` builds, recording its ``max_workers``."""
+
+    built: list = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+class TestPredict:
+    CFG = ModelConfig(image_size=32, patch_size=16, hidden_dim=32, num_layers=1,
+                      num_heads=2)
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(_RecordingThreadPool, "built", [])
+        monkeypatch.setattr(model, "ThreadPoolExecutor", _RecordingThreadPool)
+        return _RecordingThreadPool.built
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 4])
+    def test_bit_equal_at_one_and_two_threads(self, pools, monkeypatch, batches):
+        params = init_params(self.CFG, 0)
+        n = 5 * (batches - 1) + 3  # the last batch holds 3 of 5
+        images = np.random.default_rng(batches).random((n, 32, 32, 3))
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PAINFORGE_THREADS", threads)
+            outs[threads] = predict(images.astype(np.float32), params, 5)
+        # One worker, or one batch, runs inline; else a pool of two threads.
+        assert pools == ([2] if batches > 1 else [])
+        assert [a.shape[0] for a in outs["1"]] == [n, n, n]
+        for serial, threaded in zip(outs["1"], outs["2"]):
+            assert serial.dtype == threaded.dtype == np.float64
+            assert serial.tobytes() == threaded.tobytes()
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # Batches share only read-only arrays; a thread switch every 10 us
+        # must not change a bit of the gathered results.
+        params = init_params(self.CFG, 0)
+        images = np.random.default_rng(9).random((23, 32, 32, 3))
+        monkeypatch.setenv("PAINFORGE_THREADS", "1")
+        serial = predict(images, params, 2)
+        monkeypatch.setenv("PAINFORGE_THREADS", "6")
+
+        def expire(signum, frame):
+            pytest.fail("predict was still running its threads after 60 s")
+
+        interval = sys.getswitchinterval()
+        previous = signal.signal(signal.SIGALRM, expire)
+        sys.setswitchinterval(1e-5)
+        signal.alarm(60)
+        try:
+            threaded = predict(images, params, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_image_in_last_batch_raises_as_serial(self, monkeypatch):
+        params = init_params(self.CFG, 0)
+        images = np.random.default_rng(0).random((13, 32, 32, 3))
+        images[12, 7, 9, 1] = np.nan
+        messages = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PAINFORGE_THREADS", threads)
+            with pytest.raises(NumericError) as exc:
+                predict(images, params, 5)
+            messages[threads] = str(exc.value)
+        assert messages["1"] == messages["2"]
+        assert "(3, 4, 768)" in messages["1"]  # the 3-image last batch
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("PAINFORGE_THREADS", raw)
+        with pytest.raises(ConfigError, match="PAINFORGE_THREADS"):
+            predict(np.zeros((2, 32, 32, 3)), init_params(self.CFG, 0), 1)
+
+    def test_bit_equal_under_the_default_blas_thread_count(self):
+        # A fresh process with no BLAS thread limit set, at the default model
+        # size, so OpenBLAS may split its GEMMs over threads of its own.
+        code = (
+            "import hashlib, os, numpy as np\n"
+            "from painforge.model import ModelConfig, init_params, predict\n"
+            "params = init_params(ModelConfig(), 1)\n"
+            "images = np.random.default_rng(1).random((150, 64, 64, 3))\n"
+            "for threads in ('1', '2'):\n"
+            "    os.environ['PAINFORGE_THREADS'] = threads\n"
+            "    outs = predict(images.astype(np.float32), params, 64)\n"
+            "    print(hashlib.sha256(b''.join(a.tobytes() for a in outs)).hexdigest())\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "PAINFORGE_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        serial, threaded = out.stdout.split()
+        assert serial == threaded
 
 
 class TestCheckpoint:
