@@ -270,9 +270,12 @@ def pspi_head(cls_feature: Tensor, params: ModelParams, training: bool = False,
     return T.linear(h, p["pspi_head.w3"], p["pspi_head.b3"])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(images: np.ndarray, params: ModelParams, training: bool = False,
             run_seed: int = 0, step: int = 0) -> ModelOutput:
-    """Full model: patch embedding, encoder, then both prediction branches."""
+    """Full model: patch embedding, encoder, then both prediction branches.
+    numpy's overflow and invalid-value warnings are not printed: every op
+    checks its output, and a non-finite one is a NumericError naming it."""
     config = params.config
     images = np.asarray(images)
     if images.dtype != np.float32:  # float32 is cast once, in patch_embed

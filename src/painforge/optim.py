@@ -45,6 +45,7 @@ def _check_rate(name: str, value) -> float:
     return rate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
                betas=(0.9, 0.999), eps: float = 1e-8) -> dict:
     """One AdamW update over the parameters named in ``grads``.
@@ -56,7 +57,9 @@ def adamw_step(params: dict, grads: dict, state: OptimState, lr: dict,
     in ``state`` (ParameterError), have the gradient's shape (DimensionError)
     and be in a group with a rate (ParameterError). The weight decay is
     ``state.weight_decay``. Returns a new parameter dict; parameters without
-    a gradient this step pass through untouched.
+    a gradient this step pass through untouched. numpy's overflow and
+    invalid-value warnings are not printed: a non-finite update is the
+    NumericError of ``Tensor.assign``.
     """
     if not isinstance(lr, dict):
         raise ParameterError(f"lr must be a {{group: rate}} dict, got {lr!r}")

@@ -4,8 +4,12 @@ Each operation returns a fresh Tensor holding a backward closure; only
 leaf tensors change afterwards, through :meth:`Tensor.assign`, as an
 optimizer writes its update. Gradients accumulate into ``.grad`` when
 ``backward()`` is called on a scalar result, and only for operands that
-require grad. Every operation validates its output for NaN/Inf so numerical
-trouble surfaces at the op that caused it instead of three layers downstream.
+require grad. ``backward()`` releases the graph it walks: each operation's
+gradient, closure and parents are dropped once its closure has run, so only
+the leaves keep a ``.grad``, and a second ``backward()`` through the released
+graph is a ParameterError. Every operation validates its output for NaN/Inf
+so numerical trouble surfaces at the op that caused it instead of three
+layers downstream.
 """
 
 from __future__ import annotations
@@ -113,8 +117,15 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run reverse-mode accumulation from this (scalar) tensor."""
+        """Run reverse-mode accumulation from this (scalar) tensor, then
+        release the graph: once an operation's closure has run, its gradient,
+        closure and parents are dropped, so a spent graph holds no memory and
+        only leaves keep their ``.grad``. A later ``backward()`` that reaches a
+        released operation raises ParameterError. numpy's overflow and
+        invalid-value warnings are not printed; in training, a non-finite
+        gradient ends as the NumericError of the AdamW update it feeds."""
         if not self.requires_grad:
             raise ParameterError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -141,8 +152,15 @@ class Tensor:
 
         self.grad = grad if self.grad is None else self.grad + grad
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad, node._backward_fn, node._parents = None, _released, ()
+
+
+def _released(g) -> None:
+    raise ParameterError("backward() through a graph that an earlier backward() "
+                         "released")
 
 
 def _check_finite(data: np.ndarray) -> None:
@@ -268,10 +286,19 @@ def getitem(a, index) -> Tensor:
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data)
 
+    basic = all(part is None or part is Ellipsis or isinstance(part, slice)
+                or isinstance(part, (int, np.integer)) and not isinstance(part, bool)
+                for part in (index if isinstance(index, tuple) else (index,)))
+
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, index, g)
+            # A basic index picks each element at most once; an advanced one
+            # may repeat elements, whose gradients must add up.
+            if basic:
+                full[index] = g
+            else:
+                np.add.at(full, index, g)
             _accum(a, full)
 
     return _make(out_data, (a,), backward)

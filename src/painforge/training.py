@@ -190,6 +190,23 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
         except MetricError:
             return None
 
+    def train_step(batch, lr: dict, step: int) -> dict:
+        """One AdamW step on ``batch``; returns its loss terms as floats. The
+        step's autodiff graph is referenced only from here, so it is freed on
+        return, before the next step's forward."""
+        out = forward(inputs[batch], params, training=True,
+                      run_seed=config.seed, step=step)
+        teacher = (None if teacher_arrays is None
+                   else tuple(a[batch] for a in teacher_arrays))
+        total, terms = compose_loss(out, teacher, pspi[batch], au[batch], weights)
+        total.backward()
+        grads = {n: t.grad for n, t in params.tensors.items() if t.grad is not None}
+        updated = adamw_step({n: params.tensors[n].data for n in grads},
+                             grads, state, lr, betas=config.betas)
+        for name, value in updated.items():
+            params.tensors[name].assign(value)
+        return terms
+
     global_step = 0
     for epoch in range(config.epochs):
         lr = {"backbone": cosine_lr(epoch, config.epochs, config.lr_backbone,
@@ -207,20 +224,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
         term_sums: dict = {}
         n_batches = 0
         for lo in range(0, order.size, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            out = forward(inputs[batch], params, training=True,
-                          run_seed=config.seed, step=global_step)
-            teacher = (None if teacher_arrays is None
-                       else tuple(a[batch] for a in teacher_arrays))
-            total, terms = compose_loss(out, teacher, pspi[batch], au[batch],
-                                        weights)
-            total.backward()
-            grads = {n: t.grad for n, t in params.tensors.items()
-                     if t.grad is not None}
-            updated = adamw_step({n: params.tensors[n].data for n in grads},
-                                 grads, state, lr, betas=config.betas)
-            for name, value in updated.items():
-                params.tensors[name].assign(value)
+            terms = train_step(order[lo:lo + config.batch_size], lr, global_step)
             for name, value in terms.items():
                 term_sums[name] = term_sums.get(name, 0.0) + value
             n_batches += 1

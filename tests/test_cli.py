@@ -389,6 +389,7 @@ class TestPipeline:
         stages = [json.loads(line)["stage"] for line in ledger]
         assert stages[0] == "generate" and "evaluate" in stages
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault, code", [("lr_heads", 1), ("config_error", 2)])
     def test_failure_is_reported_once_with_its_stage(self, tmp_path, capsys,
                                                      monkeypatch, fault, code):

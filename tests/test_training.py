@@ -360,6 +360,27 @@ class TestTrainStudent:
         assert not any(eval_grads)
         assert all(all(grads) for is_training, grads in seen if is_training)
 
+    def test_a_step_graph_is_freed_before_the_next_forward(self, small_data,
+                                                            tmp_path, monkeypatch):
+        # Refcounting alone must free the previous step's graph: no gc.collect().
+        import weakref
+        _, manifest = small_data
+        logits, alive_at_start = [], []
+        real_forward = training.forward
+
+        def spy_forward(images, params, *args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in logits])
+            out = real_forward(images, params, *args, **kwargs)
+            logits.append(weakref.ref(out.pspi_logits.data))
+            return out
+
+        monkeypatch.setattr(training, "forward", spy_forward)
+        config = TrainConfig(epochs=2, freeze_epochs=1, batch_size=8, seed=1,
+                             val_fraction=0.0)
+        train_student(manifest, tmp_path, model_config=MODEL32, train_config=config)
+        assert len(alive_at_start) >= 3
+        assert not any(any(alive) for alive in alive_at_start)
+
     def test_non_finite_update_raises_at_that_step(self, small_data, tmp_path,
                                                    monkeypatch):
         _, manifest = small_data
