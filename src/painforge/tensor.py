@@ -123,9 +123,10 @@ class Tensor:
         release the graph: once an operation's closure has run, its gradient,
         closure and parents are dropped, so a spent graph holds no memory and
         only leaves keep their ``.grad``. A later ``backward()`` that reaches a
-        released operation raises ParameterError. numpy's overflow and
-        invalid-value warnings are not printed; in training, a non-finite
-        gradient ends as the NumericError of the AdamW update it feeds."""
+        released operation raises ParameterError before it writes any
+        gradient. numpy's overflow and invalid-value warnings are not
+        printed; in training, a non-finite gradient ends as the NumericError
+        of the AdamW update it feeds."""
         if not self.requires_grad:
             raise ParameterError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -144,6 +145,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _released:
+                _released(None)  # before any gradient is written
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -286,19 +289,10 @@ def getitem(a, index) -> Tensor:
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data)
 
-    basic = all(part is None or part is Ellipsis or isinstance(part, slice)
-                or isinstance(part, (int, np.integer)) and not isinstance(part, bool)
-                for part in (index if isinstance(index, tuple) else (index,)))
-
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            # A basic index picks each element at most once; an advanced one
-            # may repeat elements, whose gradients must add up.
-            if basic:
-                full[index] = g
-            else:
-                np.add.at(full, index, g)
+            np.add.at(full, index, g)
             _accum(a, full)
 
     return _make(out_data, (a,), backward)

@@ -402,36 +402,19 @@ class TestBackwardMechanics:
 
     def test_second_backward_through_a_released_graph_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
         h = T.gelu(x)
-        y, z = T.tsum(h), T.tsum(T.mul(h, 3.0))
+        y, z = T.tsum(h), T.tsum(T.mul(h, w))
         y.backward()
         grad = x.grad
         with pytest.raises(ParameterError, match="released"):
             y.backward()
         with pytest.raises(ParameterError, match="released"):
             z.backward()  # shares h, released by y's backward
-        assert x.grad is grad
+        # The rejected backward wrote nothing: not even w, reached around h.
+        assert x.grad is grad and w.grad is None and z.grad is None
+        assert z._backward_fn is not T._released
         # A leaf is no graph: its backward still accumulates.
         x.backward(np.ones(2))
         assert np.array_equal(x.grad, grad + 1.0)
 
-
-class TestGetitem:
-    # Basic indices take the assignment path, advanced ones np.add.at; the
-    # repeated advanced indices must add their gradients up.
-    @pytest.mark.parametrize("index", [
-        1, -1, slice(1, None), slice(None, None, -2), None, Ellipsis,
-        (slice(None), 0), (Ellipsis, 2), (None, 1, slice(0, 3)),
-        (np.int64(2), slice(None)),
-        np.array([0, 2, 0, 0]), [3, 3, 1], (np.array([0, 0, 1]), np.array([2, 2, 2])),
-        (slice(None), [1, 1]), np.array([True, False, True, True]), True,
-    ])
-    def test_gradient_equals_add_at(self, index):
-        rng = np.random.default_rng(5)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        out = T.getitem(a, index)
-        g = rng.normal(size=out.shape)
-        T.tsum(T.mul(out, g)).backward()
-        want = np.zeros((4, 3))
-        np.add.at(want, index, g)
-        assert np.array_equal(a.grad, want)
