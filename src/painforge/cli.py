@@ -15,7 +15,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, PainforgeError
 from .evaluation import evaluate_model
 from .facesynth.dataset import build_dataset, demographic_summary
-from .fileio import file_sha256, read_manifest, write_manifest
+from .fileio import file_sha256, read_manifest, write_json, write_manifest
 from .metrics import subject_holdout
 from .rng import STREAM_SPLIT
 from .training import train_student, train_teacher
@@ -134,7 +134,7 @@ def cmd_evaluate(args) -> int:
                             seed=args.seed)
     out_path = Path(args.out) if args.out else Path(args.ckpt).parent / "eval_report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    write_json(out_path, report)
     blocks = [("aggregate", report["aggregate"])]
     blocks += [(f"fold {b['fold']}", b) for b in report["folds"]]
     _print_metrics_table(blocks)
@@ -183,7 +183,7 @@ def cmd_pipeline(args) -> int:
             final["models"][key] = report
             table.append((label, report["overall"]))
         final_path = out_root / "final_report.json"
-        final_path.write_text(json.dumps(final, sort_keys=True, indent=1) + "\n")
+        write_json(final_path, final)
         _print_metrics_table(table)
         print(f"final report: {final_path}")
         append_ledger(out_root, stage, config.hash(), config.seed,

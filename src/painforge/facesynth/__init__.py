@@ -6,9 +6,8 @@ from .demographics import (AGE_GROUPS, ETHNICITIES, GENDERS, DemographicProfile,
                            reference_config, sample_demographics, scale_config)
 from .mesh import (FaceMesh, apply_au_rig, au_region_masks, make_identity_mesh,
                    max_total_displacement, mesh_from_shape_params, template_uv)
-from .render import (project_region_mask, render_depth, render_heatmap,
-                     render_rgb, rotate_yaw, skin_albedo, splat_vertex_values,
-                     vertex_normals)
+from .render import (render_depth, render_heatmap, render_rgb, rotate_yaw,
+                     skin_albedo, splat_vertex_values, vertex_normals)
 
 __all__ = [
     "AU_MAX", "AU_NAMES", "NUM_PSPI_CLASSES", "PSPI_MAX", "PSPI_MIN",
@@ -17,6 +16,6 @@ __all__ = [
     "reference_config", "sample_demographics", "scale_config",
     "FaceMesh", "apply_au_rig", "au_region_masks", "make_identity_mesh",
     "max_total_displacement", "mesh_from_shape_params", "template_uv",
-    "project_region_mask", "render_depth", "render_heatmap", "render_rgb",
+    "render_depth", "render_heatmap", "render_rgb",
     "rotate_yaw", "skin_albedo", "splat_vertex_values", "vertex_normals",
 ]

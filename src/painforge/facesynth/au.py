@@ -53,9 +53,6 @@ class AUVector:
                    au9=float(values[3]), au10=float(values[4]),
                    au43=int(round(values[5])))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.as_array() != 0.0)
-
 
 def _round_half_up(x: float) -> int:
     # Consistent labeling for continuous intensities; avoids bankers' rounding.

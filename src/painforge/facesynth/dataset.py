@@ -8,18 +8,19 @@ line-oriented JSON manifest tying frames to labels and demographics.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..fileio import load_tensor, save_tensor, write_manifest
+from ..fileio import load_tensor, save_tensor, write_json, write_manifest
 from ..rng import STREAM_PSPI_TARGET, derive_seed, keyed_rng
-from ..workers import worker_count
+from ..workers import map_in_order, worker_count
 from .au import NUM_PSPI_CLASSES, AUVector, pspi_score, sample_au_config
 from .demographics import (DemographicProfile, reference_config,
                            sample_demographics, scale_config)
@@ -145,15 +146,18 @@ def _identity_intact(out: Path, rows: list[dict], res: int) -> bool:
 def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
     """Render the full dataset and write its manifest; returns the manifest path.
 
-    With ``resume`` set, an identity is skipped when every file it names loads
-    with the resolution's shape; one whose file is missing, unreadable or of
-    another shape is rendered again. Content is deterministic per identity, so
-    a resumed build is byte-identical to an uninterrupted one. The worker
-    count is ``PAINFORGE_THREADS``, else the number of CPUs this process may
-    run on, and must be at least 1. It is capped at the number of identities
-    left to render; with one, they render in this process, otherwise in a
-    pool of worker processes. The bytes are the same either way. A worker
-    process that dies raises ``DataError``.
+    The build records ``spec`` in ``<out>/build_spec.json``. With ``resume``
+    set and that record equal to ``spec``, an identity is skipped when every
+    file it names loads with the resolution's shape; the others render again.
+    Otherwise the build first deletes the record, the manifest and every
+    ``.p3dt`` under ``frames/`` and ``heatmaps/``, then writes its record,
+    then renders, so a crash leaves only files of the recorded spec. Content
+    is deterministic per identity, so a resumed build is byte-identical to an
+    uninterrupted one. The worker count is ``PAINFORGE_THREADS``, else the
+    number of CPUs this process may run on, and must be at least 1. It is
+    capped at the number of identities left to render; with one, they render
+    in this process, otherwise in a pool of worker processes. The bytes are
+    the same either way. A worker process that dies raises ``DataError``.
     """
     workers = worker_count()
     out = Path(out_dir)
@@ -162,6 +166,20 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
         (out / "heatmaps").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from exc
+
+    record_path = out / "build_spec.json"
+    # The spec as its record reads back from JSON (tuples become lists).
+    record = json.loads(json.dumps(asdict(spec)))
+    try:
+        trusted = resume and json.loads(record_path.read_text("utf-8")) == record
+    except (OSError, ValueError):  # no record, or a torn one
+        trusted = False
+    if not trusted:
+        for stale in [record_path, out / "manifest.jsonl",
+                      *(out / "frames").glob("*.p3dt"),
+                      *(out / "heatmaps").glob("*.p3dt")]:
+            stale.unlink(missing_ok=True)
+        write_json(record_path, record)
 
     profiles = sample_demographics(scale_config(reference_config(), spec.identities),
                                    spec.seed)
@@ -174,20 +192,13 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
 
     pending = [(spec, profiles[i], plans[i], rows[i], str(out))
                for i in range(spec.identities)
-               if not (resume and _identity_intact(out, rows[i], spec.resolution))]
+               if not (trusted and _identity_intact(out, rows[i], spec.resolution))]
 
-    workers = min(workers, len(pending))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for _ in pool.map(_render_identity_star, pending):
-                    pass
-        except BrokenProcessPool as exc:
-            raise DataError(
-                f"a dataset worker process died while building {out}: {exc}") from exc
-    else:
-        for task in pending:
-            _render_identity_star(task)
+    try:
+        map_in_order(_render_identity_star, pending, ProcessPoolExecutor, workers)
+    except BrokenProcessPool as exc:
+        raise DataError(
+            f"a dataset worker process died while building {out}: {exc}") from exc
 
     manifest_path = out / "manifest.jsonl"
     write_manifest(manifest_path, [row for identity in rows for row in identity])
@@ -235,18 +246,23 @@ def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarr
 def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
 
-    A rigged row without its heatmap is a DataError, checked before any file
-    is read. RGB models see every row. Heatmap models (one channel) see the
-    first row of each distinct ``heatmap_of``, neutral rows excluded; a
+    A rigged row without its heatmap, or a row path that is absolute or has a
+    ``..`` part, is a DataError, checked before any file is read. RGB models
+    see every row. Heatmap models (one channel) see the first row of each
+    distinct ``heatmap_of``, neutral rows excluded; a
     manifest without heatmaps is a DataError for them. The inputs are
     ``load_stacked``'s checked float32 stack.
     """
     for row in rows:
+        where = (f"identity {row['identity_id']}, expression "
+                 f"{row['expression_id']}, view {row['view_id']}")
         if row["expression_id"] is not None and not row["heatmap_path"]:
-            raise DataError(
-                "manifest row is missing its heatmap: identity "
-                f"{row['identity_id']}, expression {row['expression_id']}, "
-                f"view {row['view_id']}")
+            raise DataError(f"manifest row is missing its heatmap: {where}")
+        for key in ("rgb_path", "heatmap_path"):
+            path = Path(row[key] or ".")
+            if path.is_absolute() or ".." in path.parts:
+                raise DataError(f"manifest row {key} {row[key]!r} leaves the "
+                                f"dataset root: {where}")
     if config.in_channels == 1:
         first = {}
         for row in rows:

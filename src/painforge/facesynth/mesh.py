@@ -223,8 +223,6 @@ def make_identity_mesh(profile: DemographicProfile) -> FaceMesh:
 
 def apply_au_rig(mesh: FaceMesh, au: AUVector) -> FaceMesh:
     """Add the intensity-weighted blendshape displacements; linear in each AU."""
-    if not isinstance(au, AUVector):
-        au = AUVector.from_array(np.asarray(au, dtype=float))
     weights = au.as_array() / AU_MAX
     displacement = np.tensordot(weights, mesh.au_basis, axes=(0, 0))
     return FaceMesh(vertices=mesh.vertices + displacement,

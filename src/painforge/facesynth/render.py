@@ -178,9 +178,6 @@ def render_rgb(mesh: FaceMesh, profile: DemographicProfile, camera_yaw: float,
     cam = rotate_yaw(mesh.vertices, yaw)
     if albedo is None:
         albedo = skin_albedo(profile, mesh.wrinkle_amplitude)
-    else:
-        albedo = np.broadcast_to(np.asarray(albedo, dtype=np.float64),
-                                 (mesh.num_vertices, 3))
     normals = vertex_normals(cam, mesh.faces)
     intensity = _AMBIENT + (1.0 - _AMBIENT) * np.clip(normals @ _LIGHT_DIR, 0.0, None)
     colors = np.clip(albedo * intensity[:, None], 0.0, 1.0)
@@ -209,11 +206,3 @@ def render_heatmap(neutral: FaceMesh, rigged: FaceMesh, camera_yaw: float = 0.0,
     scale = max_total_displacement(rigged.au_basis)
     image = splat_vertex_values(rigged, magnitude / scale, camera_yaw, resolution)
     return np.clip(image, 0.0, 1.0)
-
-
-def project_region_mask(mesh: FaceMesh, vertex_mask: np.ndarray, camera_yaw: float,
-                        resolution: int = 64) -> np.ndarray:
-    """Pixels where any triangle touching a masked vertex contributes weight."""
-    image = splat_vertex_values(mesh, vertex_mask.astype(np.float64), camera_yaw,
-                                resolution)
-    return image > 0.0

@@ -67,6 +67,11 @@ def dump_json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def write_json(path, obj) -> None:
+    """Pretty JSON artifact: sorted keys, one-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
 def write_manifest(path, rows: list[dict]) -> None:
     text = "".join(dump_json_line(row) + "\n" for row in rows)
     Path(path).write_text(text)

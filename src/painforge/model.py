@@ -19,10 +19,10 @@ from scipy import special as sp_special
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .fileio import load_tensor, save_tensor
+from .fileio import load_tensor, save_tensor, write_json
 from .rng import STREAM_DROPOUT, STREAM_INIT, keyed_rng
 from .tensor import Tensor
-from .workers import worker_count
+from .workers import map_in_order, worker_count
 
 # Dropout call sites inside the pain-intensity head.
 _DROP_SITE_PSPI_1 = 1
@@ -321,13 +321,8 @@ def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
         # cls_feature is a view of the whole encoder output; keep only its rows.
         return out.pspi_logits.data, out.au_pred.data, out.cls_feature.data.copy()
 
-    starts = range(0, images.shape[0], batch_size)
-    workers = min(worker_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(run, starts))
-    else:
-        outs = [run(lo) for lo in starts]
+    outs = map_in_order(run, range(0, images.shape[0], batch_size),
+                        ThreadPoolExecutor, worker_count())
     logits, aus, features = zip(*outs)
     return np.concatenate(logits), np.concatenate(aus), np.concatenate(features)
 
@@ -346,8 +341,7 @@ def save_checkpoint(params: ModelParams, directory) -> Path:
         save_tensor(directory / fname, data)
         index["tensors"][name] = {"file": fname, "shape": list(data.shape),
                                   "dtype": str(data.dtype)}
-    (directory / "index.json").write_text(
-        json.dumps(index, sort_keys=True, indent=1) + "\n")
+    write_json(directory / "index.json", index)
     return directory
 
 

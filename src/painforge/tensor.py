@@ -90,31 +90,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar (defined below as module functions) -------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __getitem__(self, index):
-        return getitem(self, index)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     # -- autodiff ------------------------------------------------------------
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -457,8 +432,6 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """
     a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     dim = a.shape[-1]
-    if dim == 0:
-        raise DimensionError("layer_norm over a zero-length row")
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise DimensionError(
             f"layer_norm affine parameters must have shape ({dim},), "

@@ -41,6 +41,9 @@ class LossWeights:
         for name in ("pspi", "au", "pspi_distill", "au_distill", "feature_distill"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"loss weight {name} must be finite and >= 0")
+        if self.pspi == self.au == 0:
+            raise ConfigError("loss weights pspi and au are both 0; every role "
+                              "needs a positive supervised term")
         if not 0 < self.temperature < np.inf:
             raise ConfigError(
                 f"temperature must be positive and finite, got {self.temperature}")
@@ -152,8 +155,6 @@ def compose_loss(student_out: ModelOutput, teacher, pspi_labels, au_labels,
         if loss is not None and weight != 0.0:
             piece = T.mul(loss, weight)
             total = piece if total is None else T.add(total, piece)
-    if total is None:
-        total = T.Tensor(np.zeros(()))
     terms["total"] = total.item()
     return total, terms
 

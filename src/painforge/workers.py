@@ -1,4 +1,4 @@
-"""The one worker-count rule, shared by dataset builds and batched inference."""
+"""The one worker-count and fan-out rule, shared by dataset builds and inference."""
 
 from __future__ import annotations
 
@@ -22,3 +22,17 @@ def worker_count() -> int:
         raise ConfigError(
             f"the worker count (PAINFORGE_THREADS) must be >= 1, got {workers}")
     return workers
+
+
+def map_in_order(fn, items, executor, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` workers.
+
+    The count is capped at the number of items. With one worker the items run
+    in this thread; otherwise on ``executor(max_workers=count)``, a thread or
+    process pool class. Results keep the items' order either way.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with executor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -9,7 +9,8 @@ import pytest
 from painforge.cli import main
 from painforge.config import RunConfig, load_config, parse_config_text
 from painforge.errors import ConfigError, DataError
-from painforge.fileio import file_sha256, read_manifest, save_tensor
+from painforge.fileio import (file_sha256, read_manifest, save_tensor,
+                              write_manifest)
 from painforge.model import (ModelConfig, init_params, load_checkpoint,
                              save_checkpoint)
 
@@ -125,6 +126,15 @@ class TestConfig:
         # The hash names a run in the ledger; the default table must not drift.
         assert RunConfig.from_mapping({}).hash() == "fe7543574f020022"
         assert load_config(DEMOS / "pipeline.cfg").hash() == "5907f2fb04753e71"
+
+    def test_no_supervised_loss_term_exits_2_before_any_stage(self, config_file,
+                                                             tmp_path, capsys):
+        config_file.write_text(config_file.read_text()
+                               + "loss.pspi = 0\nloss.au = 0\n")
+        assert main(["pipeline", "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "pspi and au" in err
+        assert not (tmp_path / "run").exists()
 
     def test_out_of_range_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -250,12 +260,33 @@ class TestTrainEvaluate:
 
     def test_teacher_on_rgb_only_manifest_exits_1(self, generated, tmp_path):
         config_file, manifest = generated
-        from painforge.fileio import write_manifest
         rows = [r for r in read_manifest(manifest) if r["expression_id"] is None]
         bad = tmp_path / "rgb_only.jsonl"
         write_manifest(bad, rows)
         assert main(["train", "--role", "teacher", "--data", str(bad),
                      "--config", str(config_file)]) == 1
+
+    @pytest.mark.parametrize("key", ["rgb_path", "heatmap_path"])
+    @pytest.mark.parametrize("escape", ["absolute", "parent"])
+    def test_evaluate_manifest_path_outside_the_root_exits_1(
+            self, generated, tmp_path, capsys, key, escape):
+        # Either spelling still names the real file, so only the check rejects it.
+        _, manifest = generated
+        rows = read_manifest(manifest)
+        row = next(r for r in rows if r["expression_id"] is not None)
+        row[key] = (str(manifest.parent / row[key]) if escape == "absolute"
+                    else f"../{manifest.parent.name}/{row[key]}")
+        escaped = manifest.parent / "escaped.jsonl"
+        write_manifest(escaped, rows)
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(escaped)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert key in err and f"identity {row['identity_id']}, expression " \
+            f"{row['expression_id']}, view {row['view_id']}" in err
+        assert not (ckpt.parent / "eval_report.json").exists()
 
     def test_evaluate_truncated_checkpoint_tensor_exits_1(self, tmp_path, capsys):
         ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,

@@ -1,5 +1,6 @@
 """Dataset builder: counts, labels, determinism, resume."""
 
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -7,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from painforge.errors import ConfigError, DataError
+from painforge.errors import ConfigError, DataError, GeometryError
 from painforge.facesynth import dataset
 from painforge.facesynth.au import AUVector, pspi_score
 from painforge.facesynth.dataset import (DatasetSpec, build_dataset,
@@ -18,6 +19,12 @@ from painforge.model import ModelConfig
 
 SPEC = DatasetSpec(identities=3, expressions_per_identity=2, views=(-30.0, 0.0, 30.0),
                    resolution=32, seed=11)
+
+
+def _file_digests(out):
+    """Every file of a build, by path relative to its root."""
+    return {str(p.relative_to(out)): file_sha256(p)
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +181,38 @@ class TestDeterminism:
         build_dataset(SPEC, out, resume=True)
         assert [file_sha256(v) for v in (frame, heatmap, manifest)] == originals
 
+    def test_resume_over_another_seed_matches_a_fresh_build(self, tmp_path):
+        # The files of seed 0 have the names and shapes of seed 1's, so only
+        # the spec record tells the resume not to trust them.
+        seed_1 = dataclasses.replace(SPEC, seed=1)
+        build_dataset(dataclasses.replace(SPEC, seed=0), tmp_path / "reused")
+        build_dataset(seed_1, tmp_path / "reused", resume=True)
+        build_dataset(seed_1, tmp_path / "fresh")
+        assert _file_digests(tmp_path / "reused") == _file_digests(tmp_path / "fresh")
+
+    def test_resume_after_a_crash_renders_only_the_rest(self, tmp_path, monkeypatch):
+        build_dataset(SPEC, tmp_path / "fresh")
+        monkeypatch.setenv("PAINFORGE_THREADS", "1")
+        render, rendered = dataset._render_identity, []
+
+        def crash_at_identity_2(spec, profile, plan, rows, out_dir):
+            if rows[0]["identity_id"] == 2:
+                raise GeometryError("injected fault in identity 2")
+            render(spec, profile, plan, rows, out_dir)
+
+        def recording(spec, profile, plan, rows, out_dir):
+            rendered.append(rows[0]["identity_id"])
+            render(spec, profile, plan, rows, out_dir)
+
+        monkeypatch.setattr(dataset, "_render_identity", crash_at_identity_2)
+        with pytest.raises(GeometryError):
+            build_dataset(SPEC, tmp_path / "crashed")
+        monkeypatch.setattr(dataset, "_render_identity", recording)
+        build_dataset(SPEC, tmp_path / "crashed", resume=True)
+        assert rendered == [2]
+        assert _file_digests(tmp_path / "crashed") == _file_digests(tmp_path / "fresh")
+
     def test_different_seed_changes_expressions(self, built, tmp_path):
-        import dataclasses
         _, _, rows_a = built
         spec_b = dataclasses.replace(SPEC, seed=12)
         rows_b = read_manifest(build_dataset(spec_b, tmp_path))

@@ -129,7 +129,7 @@ class TestRig:
     def test_out_of_range_rejected(self):
         m = make_identity_mesh(profile(4))
         with pytest.raises(ParameterError):
-            apply_au_rig(m, np.array([9.0, 0, 0, 0, 0, 0]))
+            apply_au_rig(m, AUVector.from_array([9.0, 0, 0, 0, 0, 0]))
 
 
 class TestDisplacementBound:

@@ -413,13 +413,14 @@ class TestForward:
                 imgs, (2, 2, 4, 2, 4, 3)), (0, 1, 3, 2, 4, 5)), (2, 4, 48))
             tok = T.add(chains.matmul(patches, params.tensors["patch_proj.w"]),
                         params.tensors["patch_proj.b"])
-            tok = T.add(tok, params.tensors["pos_embed"][1:])
-            cls = T.add(params.tensors["cls_token"],
-                        params.tensors["pos_embed"][0])
-            tokens = T.concat([T.broadcast_to(cls.reshape(1, 1, 16), (2, 1, 16)),
+            pos = params.tensors["pos_embed"]
+            tok = T.add(tok, T.getitem(pos, slice(1, None)))
+            cls = T.add(params.tensors["cls_token"], T.getitem(pos, 0))
+            tokens = T.concat([T.broadcast_to(T.reshape(cls, (1, 1, 16)), (2, 1, 16)),
                                tok], axis=1)
             encoded = encoder_forward(tokens, params)
-            return cross_entropy(pspi_head(encoded[:, 0], params), labels)
+            return cross_entropy(pspi_head(T.getitem(encoded, (slice(None), 0)), params),
+                                 labels)
 
         err = gradcheck(f, Tensor(rng.random((2, 8, 8, 3))), h=1e-5)
         assert err < 1e-4, f"input gradcheck: {err}"

@@ -9,9 +9,8 @@ from painforge.facesynth.au import AUVector
 from painforge.facesynth.demographics import DemographicProfile
 from painforge.facesynth.mesh import (FaceMesh, apply_au_rig, au_region_masks,
                                       make_identity_mesh, mesh_from_shape_params)
-from painforge.facesynth.render import (VIEW_EXTENT, project_region_mask,
-                                        rasterize, render_depth, render_heatmap,
-                                        render_rgb, rotate_yaw,
+from painforge.facesynth.render import (VIEW_EXTENT, rasterize, render_depth,
+                                        render_heatmap, render_rgb, rotate_yaw,
                                         splat_vertex_values, vertex_normals)
 
 PROFILE = DemographicProfile("Young", "East Asian", "Man", identity_seed=42)
@@ -79,8 +78,9 @@ class TestRenderRGB:
         rigged_img = render_rgb(rigged, PROFILE, 0.0, 64)
         changed = np.any(neutral_img != rigged_img, axis=-1)
 
-        region = project_region_mask(mesh, au_region_masks()["au4"], 0.0, 64)
-        region |= project_region_mask(rigged, au_region_masks()["au4"], 0.0, 64)
+        au4 = au_region_masks()["au4"].astype(float)
+        region = splat_vertex_values(mesh, au4, 0.0, 64) > 0
+        region |= splat_vertex_values(rigged, au4, 0.0, 64) > 0
         allowed = ndimage.binary_dilation(region, iterations=2)
         assert changed.any()
         assert not np.any(changed & ~allowed)
@@ -100,7 +100,8 @@ class TestRenderHeatmap:
     def test_single_au_support_in_region(self, mesh):
         rigged = apply_au_rig(mesh, AUVector(au4=4))
         heat = render_heatmap(mesh, rigged, 0.0, 64)
-        region = project_region_mask(rigged, au_region_masks()["au4"], 0.0, 64)
+        au4 = au_region_masks()["au4"].astype(float)
+        region = splat_vertex_values(rigged, au4, 0.0, 64) > 0
         assert heat.max() > 0
         assert not np.any((heat > 0) & ~region)
 
@@ -110,7 +111,7 @@ class TestRenderHeatmap:
         heat = render_heatmap(mesh, rigged, 0.0, 64)
         masks = au_region_masks()
         union = masks["au4"] | masks["au10"] | masks["au43"]
-        region = project_region_mask(rigged, union, 0.0, 64)
+        region = splat_vertex_values(rigged, union.astype(float), 0.0, 64) > 0
         assert not np.any((heat > 0) & ~region)
 
     def test_values_in_unit_range(self, mesh):

@@ -19,7 +19,7 @@ KL_ORACLE_T4 = 0.14945786501204283
 
 
 def _square(t):
-    return t * t
+    return T.mul(t, t)
 
 
 class TestMatmul:
@@ -185,7 +185,7 @@ class TestFusedOps:
 class TestAssign:
     def test_replaces_values_and_clears_gradient(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        T.tsum(w * 3.0).backward()
+        T.tsum(T.mul(w, 3.0)).backward()
         w.assign(np.array([5.0, 6.0]))
         assert np.array_equal(w.data, [5.0, 6.0]) and w.grad is None
 
@@ -302,7 +302,8 @@ class TestMSE:
 
 class TestGradcheck:
     def test_linear_is_exact(self):
-        err = gradcheck(lambda x: T.tsum(3.0 * x), Tensor(np.random.default_rng(0).normal(size=7)))
+        err = gradcheck(lambda x: T.tsum(T.mul(3.0, x)),
+                        Tensor(np.random.default_rng(0).normal(size=7)))
         assert err <= 1e-10
 
     def test_every_op_at_random_points(self):
@@ -320,25 +321,29 @@ class TestGradcheck:
         att_w = Tensor(rng.random((2, 3, 4)) + 0.5)
 
         def pooled(q, k, v, heads):
-            return T.tsum(T.attention(q, k, v, heads)[0] * att_w)
+            return T.tsum(T.mul(T.attention(q, k, v, heads)[0], att_w))
 
         cases = {
-            "add": lambda x: T.tsum((x + b_const.data[0, 0]) * w6),
-            "mul": lambda x: T.tsum(x * w6),
-            "matmul": lambda x: T.tsum(chains.matmul(x, b_const) * w_const),
-            "sum_axis": lambda x: T.tsum(_square(T.tsum(x.reshape(2, 3), axis=1))),
-            "softmax": lambda x: T.tsum(softmax(x.reshape(2, 3), -1) * w_const),
-            "layer_norm": lambda x: T.tsum(layer_norm(x.reshape(1, 6), gamma, beta) * w6),
-            "relu": lambda x: T.tsum(relu(x) * w6),
-            "gelu": lambda x: T.tsum(gelu(x) * w6),
-            "dropout": lambda x: T.tsum(
-                dropout(x, 0.4, training=True, rng=keyed_rng(3, 1, 7)) * w6),
-            "cross_entropy": lambda x: cross_entropy(x.reshape(2, 3), np.array([0, 2])),
-            "kl_student": lambda x: kl_temperature(z_teacher, x.reshape(2, 6), 4.0),
-            "mse": lambda x: mse(x.reshape(2, 6), targets),
-            "concat": lambda x: T.tsum(_square(T.concat([x.reshape(2, 3), w_const], axis=0))),
-            "getitem": lambda x: T.tsum(x[1:5] * w6.data[0]),
-            "broadcast": lambda x: T.tsum(T.broadcast_to(x.reshape(1, 6), (3, 6)) * 0.7),
+            "add": lambda x: T.tsum(T.mul(T.add(x, b_const.data[0, 0]), w6)),
+            "mul": lambda x: T.tsum(T.mul(x, w6)),
+            "matmul": lambda x: T.tsum(T.mul(chains.matmul(x, b_const), w_const)),
+            "sum_axis": lambda x: T.tsum(_square(T.tsum(T.reshape(x, (2, 3)), axis=1))),
+            "softmax": lambda x: T.tsum(T.mul(softmax(T.reshape(x, (2, 3)), -1), w_const)),
+            "layer_norm": lambda x: T.tsum(
+                T.mul(layer_norm(T.reshape(x, (1, 6)), gamma, beta), w6)),
+            "relu": lambda x: T.tsum(T.mul(relu(x), w6)),
+            "gelu": lambda x: T.tsum(T.mul(gelu(x), w6)),
+            "dropout": lambda x: T.tsum(T.mul(
+                dropout(x, 0.4, training=True, rng=keyed_rng(3, 1, 7)), w6)),
+            "cross_entropy": lambda x: cross_entropy(T.reshape(x, (2, 3)),
+                                                     np.array([0, 2])),
+            "kl_student": lambda x: kl_temperature(z_teacher, T.reshape(x, (2, 6)), 4.0),
+            "mse": lambda x: mse(T.reshape(x, (2, 6)), targets),
+            "concat": lambda x: T.tsum(_square(
+                T.concat([T.reshape(x, (2, 3)), w_const], axis=0))),
+            "getitem": lambda x: T.tsum(T.mul(T.getitem(x, slice(1, 5)), w6.data[0])),
+            "broadcast": lambda x: T.tsum(
+                T.mul(T.broadcast_to(T.reshape(x, (1, 6)), (3, 6)), 0.7)),
             "attention_q": lambda x: pooled(x, att_k, att_v, 2),
             "attention_k": lambda x: pooled(att_q, x, att_v, 2),
             "attention_v": lambda x: pooled(att_q, att_k, x, 2),
@@ -368,23 +373,23 @@ class TestGradcheck:
 class TestBackwardMechanics:
     def test_grad_accumulates_over_shared_use(self):
         x = Tensor([2.0], requires_grad=True)
-        y = x * x + x * 3.0
+        y = T.add(T.mul(x, x), T.mul(x, 3.0))
         y.backward(np.ones(1))
         assert np.allclose(x.grad, [7.0])  # 2x + 3
 
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(DimensionError):
-            (x * 2.0).backward()
+            T.mul(x, 2.0).backward()
 
     def test_detach_stops_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        T.tsum(x.detach() * 2.0 + x).backward()
+        T.tsum(T.add(T.mul(x.detach(), 2.0), x)).backward()
         assert np.allclose(x.grad, [1.0, 1.0])
 
     def test_eval_graph_not_built(self):
         x = Tensor([1.0, 2.0])
-        out = x * 2.0 + 1.0
+        out = T.add(T.mul(x, 2.0), 1.0)
         assert out._parents == () and out._backward_fn is None
 
     def test_backward_releases_the_graph(self):

@@ -120,6 +120,11 @@ class TestComposeLoss:
             LossWeights(pspi=-1.0)
         with pytest.raises(ConfigError):
             LossWeights(temperature=0.0)
+        # Every role trains on the two supervised terms; one must count.
+        with pytest.raises(ConfigError, match="pspi and au"):
+            LossWeights(pspi=0.0, au=0.0)
+        LossWeights(pspi=0.0)
+        LossWeights(au=0.0)
 
 
 class TestTrainConfig:
