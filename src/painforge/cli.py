@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -15,7 +14,8 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, PainforgeError
 from .evaluation import evaluate_model
 from .facesynth.dataset import build_dataset, demographic_summary
-from .fileio import file_sha256, read_manifest, write_json, write_manifest
+from .fileio import (append_json_line, file_sha256, read_manifest, write_json,
+                     write_manifest)
 from .metrics import subject_holdout
 from .rng import STREAM_SPLIT
 from .training import train_student, train_teacher
@@ -44,8 +44,7 @@ def append_ledger(out_root: Path, stage: str, config_hash: str, seed: int,
               "outputs": [str(p) for p in outputs],
               "wall_time_s": round(wall_time_s, 3)}
     Path(out_root).mkdir(parents=True, exist_ok=True)
-    with (Path(out_root) / "ledger.jsonl").open("a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    append_json_line(Path(out_root) / "ledger.jsonl", record)
 
 
 def _print_summary(rows) -> None:
@@ -160,6 +159,9 @@ def cmd_pipeline(args) -> int:
         # training runs' validation split.
         test = subject_holdout([r["split_subject_id"] for r in rows], 0.2,
                                (config.seed, STREAM_SPLIT, 999))
+        if not test:
+            raise ConfigError("the test split is empty: one identity leaves none "
+                              "to hold out; dataset.identities must be >= 2")
         train_manifest = out_root / "data" / "manifest_train.jsonl"
         test_manifest = out_root / "data" / "manifest_test.jsonl"
         write_manifest(train_manifest,

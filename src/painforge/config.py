@@ -13,40 +13,40 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .facesynth.au import NUM_PSPI_CLASSES
 from .facesynth.dataset import DEFAULT_VIEWS, DatasetSpec
 from .model import ModelConfig
 from .training import LossWeights, TrainConfig
 
-# The train.<field> and loss.<field> keys with their dataclass defaults; the
-# run seed is its own key and the Adam betas are not configurable.
-_TRAIN_FIELDS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
-                 if f.name not in ("seed", "betas")}
-_LOSS_FIELDS = {f.name: f.default for f in dataclasses.fields(LossWeights)}
+# Each config section's dataclass and its keys ("<section>.<key>") with the
+# field each sets, by default its namesake: every field but those the run sets
+# otherwise, such as the seed, the Adam betas and the model's image size.
+_SECTIONS = {
+    section: (cls, {renamed.get(f.name, f.name): f.name
+                    for f in dataclasses.fields(cls) if f.name not in fixed})
+    for section, cls, fixed, renamed in [
+        ("dataset", DatasetSpec, {"seed"},
+         {"expressions_per_identity": "expressions"}),
+        ("model", ModelConfig, {"image_size", "num_classes", "num_aus",
+                                "in_channels", "use_au_queries"},
+         {"dropout_p": "dropout"}),
+        ("train", TrainConfig, {"seed", "betas"}, {}),
+        ("loss", LossWeights, set(), {})]}
 
 # Each key's default also fixes its type: str, int or float.
 _DEFAULTS = {
     "seed": 0,
     "out": "runs/default",
-    "dataset.identities": 8,
-    "dataset.expressions": 2,
+    **{f"{section}.{key}": cls.__dataclass_fields__[name].default
+       for section, (cls, keys) in _SECTIONS.items() for key, name in keys.items()},
+    # Read as text: comma-separated floats, or "uniform" for the field default.
     "dataset.views": ",".join(str(v) for v in DEFAULT_VIEWS),
-    "dataset.resolution": 64,
     "dataset.pspi_distribution": "uniform",
-    "model.hidden_dim": 64,
-    "model.patch_size": 16,
-    "model.num_layers": 2,
-    "model.num_heads": 4,
-    "model.mlp_ratio": 4.0,
-    "model.dropout": 0.1,
-    **{f"train.{name}": value for name, value in _TRAIN_FIELDS.items()},
     # Desk-scale defaults: models here train from scratch, so the learning
     # rates sit well above the fine-tuning rates used with a pretrained
     # backbone (TrainConfig's own defaults) while keeping the 10x head ratio.
     "train.epochs": 30,
     "train.lr_backbone": 3e-4,
     "train.lr_heads": 3e-3,
-    **{f"loss.{name}": value for name, value in _LOSS_FIELDS.items()},
 }
 
 
@@ -108,34 +108,28 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
+    def _section(self, name: str) -> dict:
+        """The values of section ``name``'s keys, keyed by the field each sets."""
+        _, keys = _SECTIONS[name]
+        return {field: self.get(f"{name}.{key}") for key, field in keys.items()}
+
     def dataset_spec(self) -> DatasetSpec:
-        if self.get("dataset.pspi_distribution") == "uniform":
-            dist = tuple([1.0 / NUM_PSPI_CLASSES] * NUM_PSPI_CLASSES)
-        else:
-            dist = self._floats("dataset.pspi_distribution")
-        return DatasetSpec(identities=self.get("dataset.identities"),
-                           expressions_per_identity=self.get("dataset.expressions"),
-                           views=self._floats("dataset.views"),
-                           resolution=self.get("dataset.resolution"),
-                           pspi_distribution=dist,
-                           seed=self.seed)
+        fields = self._section("dataset")
+        fields["views"] = self._floats("dataset.views")
+        if fields.pop("pspi_distribution") != "uniform":  # else the field default
+            fields["pspi_distribution"] = self._floats("dataset.pspi_distribution")
+        return DatasetSpec(**fields, seed=self.seed)
 
     def model_config(self, use_au_queries: bool = True) -> ModelConfig:
-        return ModelConfig(image_size=self.get("dataset.resolution"),
-                           patch_size=self.get("model.patch_size"),
-                           hidden_dim=self.get("model.hidden_dim"),
-                           num_layers=self.get("model.num_layers"),
-                           num_heads=self.get("model.num_heads"),
-                           mlp_ratio=self.get("model.mlp_ratio"),
-                           dropout_p=self.get("model.dropout"),
+        return ModelConfig(**self._section("model"),
+                           image_size=self.get("dataset.resolution"),
                            use_au_queries=use_au_queries)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed,
-                           **{f: self.get(f"train.{f}") for f in _TRAIN_FIELDS})
+        return TrainConfig(**self._section("train"), seed=self.seed)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(**{f: self.get(f"loss.{f}") for f in _LOSS_FIELDS})
+        return LossWeights(**self._section("loss"))
 
 
 def parse_config_text(text: str) -> RunConfig:

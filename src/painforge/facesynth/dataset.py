@@ -149,11 +149,12 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
     The build records ``spec`` in ``<out>/build_spec.json``. With ``resume``
     set and that record equal to ``spec``, an identity is skipped when every
     file it names loads with the resolution's shape; the others render again.
-    Otherwise the build first deletes the record, the manifest and every
-    ``.p3dt`` under ``frames/`` and ``heatmaps/``, then writes its record,
-    then renders, so a crash leaves only files of the recorded spec. Content
-    is deterministic per identity, so a resumed build is byte-identical to an
-    uninterrupted one. The worker count is ``PAINFORGE_THREADS``, else the
+    Otherwise the build first deletes the record, every ``.jsonl`` manifest
+    in ``out_dir`` (split manifests too: they name the frames it deletes) and
+    every ``.p3dt`` under ``frames/`` and ``heatmaps/``, then writes its
+    record, then renders, so a crash leaves only files of the recorded spec.
+    Content is deterministic per identity, so a resumed build is byte-identical
+    to an uninterrupted one. The worker count is ``PAINFORGE_THREADS``, else the
     number of CPUs this process may run on, and must be at least 1. It is
     capped at the number of identities left to render; with one, they render
     in this process, otherwise in a pool of worker processes. The bytes are
@@ -175,7 +176,7 @@ def build_dataset(spec: DatasetSpec, out_dir, resume: bool = False):
     except (OSError, ValueError):  # no record, or a torn one
         trusted = False
     if not trusted:
-        for stale in [record_path, out / "manifest.jsonl",
+        for stale in [record_path, *out.glob("*.jsonl"),
                       *(out / "frames").glob("*.p3dt"),
                       *(out / "heatmaps").glob("*.p3dt")]:
             stale.unlink(missing_ok=True)
@@ -246,8 +247,9 @@ def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarr
 def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
 
-    A rigged row without its heatmap, or a row path that is absolute or has a
-    ``..`` part, is a DataError, checked before any file is read. RGB models
+    A rigged row without its heatmap, a row path that is not a string (None
+    stands for a neutral row's heatmap) or that is absolute or has a ``..``
+    part, is a DataError, checked before any file is read. RGB models
     see every row. Heatmap models (one channel) see the first row of each
     distinct ``heatmap_of``, neutral rows excluded; a
     manifest without heatmaps is a DataError for them. The inputs are
@@ -259,6 +261,8 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
         if row["expression_id"] is not None and not row["heatmap_path"]:
             raise DataError(f"manifest row is missing its heatmap: {where}")
         for key in ("rgb_path", "heatmap_path"):
+            if not isinstance(row[key], str) and (key == "rgb_path" or row[key]):
+                raise DataError(f"manifest row {key} {row[key]!r} is not a path: {where}")
             path = Path(row[key] or ".")
             if path.is_absolute() or ".." in path.parts:
                 raise DataError(f"manifest row {key} {row[key]!r} leaves the "

@@ -1,4 +1,4 @@
-"""Binary tensor files and line-oriented JSON manifests.
+"""Every file painforge writes: tensors, JSON-lines files and JSON artifacts.
 
 Tensor file layout (all little-endian):
   bytes 0-3   magic "P3DT"
@@ -75,6 +75,11 @@ def write_json(path, obj) -> None:
 def write_manifest(path, rows: list[dict]) -> None:
     text = "".join(dump_json_line(row) + "\n" for row in rows)
     Path(path).write_text(text)
+
+
+def append_json_line(path, record: dict) -> None:
+    with Path(path).open("a", encoding="utf-8") as fh:
+        fh.write(dump_json_line(record) + "\n")
 
 
 def read_manifest(path) -> list[dict]:

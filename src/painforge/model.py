@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +76,7 @@ class ModelConfig:
         return side * side
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass
@@ -359,7 +355,7 @@ def load_checkpoint(directory) -> ModelParams:
     if not isinstance(index, dict) or index.get("format") != _CHECKPOINT_FORMAT:
         raise DataError(f"{index_path} is not a {_CHECKPOINT_FORMAT} index")
     try:
-        config = ModelConfig.from_dict(index["config"])
+        config = ModelConfig(**index["config"])
         files = {name: directory / meta["file"] for name, meta in index["tensors"].items()}
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise DataError(f"{index_path} is malformed: {type(exc).__name__}: {exc}") from exc

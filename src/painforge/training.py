@@ -10,16 +10,15 @@ distillation weights at zero is step-for-step identical to a supervised run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, MetricError
-from .fileio import dump_json_line, read_manifest
+from .fileio import read_manifest, write_json, write_manifest
 from .facesynth.dataset import heatmap_of, load_model_inputs, load_stacked
 from .metrics import macro_auroc, subject_holdout
 from .model import (ModelConfig, ModelOutput, ModelParams, forward,
@@ -38,7 +37,7 @@ class LossWeights:
     temperature: float = 4.0
 
     def __post_init__(self):
-        for name in ("pspi", "au", "pspi_distill", "au_distill", "feature_distill"):
+        for name in TERM_NAMES:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"loss weight {name} must be finite and >= 0")
         if self.pspi == self.au == 0:
@@ -48,8 +47,10 @@ class LossWeights:
             raise ConfigError(
                 f"temperature must be positive and finite, got {self.temperature}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+
+# The weighted loss terms, in field order: compose_loss sums them in this order.
+TERM_NAMES = tuple(f.name for f in dataclasses.fields(LossWeights)
+                   if f.name != "temperature")
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,6 @@ class TrainConfig:
             raise ConfigError(
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["betas"] = list(self.betas)
-        return d
-
 
 @dataclass
 class TrainReport:
@@ -103,27 +99,16 @@ class TrainReport:
     best_val_macro_auroc: float | None = None
     wall_clock_s: float = 0.0
 
-    def canonical_lines(self) -> list[str]:
-        """Deterministic serialization; wall-clock goes in a sidecar file."""
-        meta = {"type": "meta", "role": self.role, "seed": self.seed,
-                "train_config": self.train_config,
-                "loss_weights": self.loss_weights,
-                "model_config": self.model_config,
-                "best_epoch": self.best_epoch,
-                "best_val_macro_auroc": self.best_val_macro_auroc}
-        lines = [dump_json_line(meta)]
-        lines += [dump_json_line({"type": "epoch", **rec}) for rec in self.epochs]
-        return lines
+    def canonical_lines(self) -> list[dict]:
+        """The records of the report file, a meta line then one per epoch;
+        wall-clock time goes in a sidecar, so the file is deterministic."""
+        meta = {"type": "meta", **asdict(self)}
+        del meta["epochs"], meta["wall_clock_s"]
+        return [meta] + [{"type": "epoch", **rec} for rec in self.epochs]
 
-    def save(self, path) -> Path:
-        path = Path(path)
-        path.write_text("".join(line + "\n" for line in self.canonical_lines()))
-        Path(str(path) + ".timing.json").write_text(
-            json.dumps({"wall_clock_s": self.wall_clock_s}) + "\n")
-        return path
-
-
-TERM_NAMES = ("pspi", "au", "pspi_distill", "au_distill", "feature_distill")
+    def save(self, path) -> None:
+        write_manifest(path, self.canonical_lines())
+        write_json(f"{path}.timing.json", {"wall_clock_s": self.wall_clock_s})
 
 
 def compose_loss(student_out: ModelOutput, teacher, pspi_labels, au_labels,
@@ -176,9 +161,9 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
     val_mask = np.isin(subjects, list(val_subjects))
     train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
     report = TrainReport(role=role, seed=config.seed,
-                         train_config=config.to_dict(),
-                         loss_weights=weights.to_dict(),
-                         model_config=model_config.to_dict())
+                         train_config=asdict(config),
+                         loss_weights=asdict(weights),
+                         model_config=asdict(model_config))
 
     best_auroc, best = -np.inf, None
 

@@ -288,6 +288,23 @@ class TestTrainEvaluate:
             f"{row['expression_id']}, view {row['view_id']}" in err
         assert not (ckpt.parent / "eval_report.json").exists()
 
+    def test_evaluate_null_rgb_path_exits_1(self, generated, tmp_path, capsys):
+        # Read as a path, None would load as a neutral frame's zero heatmap.
+        _, manifest = generated
+        rows = read_manifest(manifest)
+        rows[1]["rgb_path"] = None
+        nulled = manifest.parent / "nulled.jsonl"
+        write_manifest(nulled, rows)
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(nulled)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "rgb_path None" in err and f"identity {rows[1]['identity_id']}, " \
+            f"expression {rows[1]['expression_id']}, view {rows[1]['view_id']}" in err
+        assert not (ckpt.parent / "eval_report.json").exists()
+
     def test_evaluate_truncated_checkpoint_tensor_exits_1(self, tmp_path, capsys):
         ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,
                                                        hidden_dim=16,
@@ -419,6 +436,21 @@ class TestPipeline:
         ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
         stages = [json.loads(line)["stage"] for line in ledger]
         assert stages[0] == "generate" and "evaluate" in stages
+
+    def test_one_identity_exits_2_before_any_training(self, tmp_path, capsys):
+        config = tmp_path / "p.cfg"
+        config.write_text(
+            "dataset.identities = 1\ndataset.expressions = 1\n"
+            "dataset.views = 0\ndataset.resolution = 32\n"
+            "model.hidden_dim = 32\nmodel.num_layers = 1\nmodel.num_heads = 2\n"
+            "train.epochs = 1\ntrain.freeze_epochs = 0\n"
+            f"out = {tmp_path / 'pipe'}\n")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "test split is empty" in err
+        assert not list((tmp_path / "pipe").glob("train_*"))
+        ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
+        assert [json.loads(line)["stage"] for line in ledger] == ["generate"]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault, code", [("lr_heads", 1), ("config_error", 2)])

@@ -190,6 +190,16 @@ class TestDeterminism:
         build_dataset(seed_1, tmp_path / "fresh")
         assert _file_digests(tmp_path / "reused") == _file_digests(tmp_path / "fresh")
 
+    def test_untrusted_build_deletes_every_manifest_in_its_root(self, tmp_path):
+        # A split manifest copied from the old build names frames the new
+        # build deletes, so it must not outlive them.
+        spec = DatasetSpec(identities=1, expressions_per_identity=1, views=(0.0,),
+                           resolution=16, seed=0)
+        manifest = build_dataset(spec, tmp_path)
+        shutil.copy(manifest, tmp_path / "manifest_train.jsonl")
+        build_dataset(dataclasses.replace(spec, seed=1), tmp_path, resume=True)
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == ["manifest.jsonl"]
+
     def test_resume_after_a_crash_renders_only_the_rest(self, tmp_path, monkeypatch):
         build_dataset(SPEC, tmp_path / "fresh")
         monkeypatch.setenv("PAINFORGE_THREADS", "1")

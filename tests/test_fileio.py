@@ -1,8 +1,11 @@
 """Binary tensor format and manifest round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import painforge
 from painforge.errors import DataError
 from painforge.fileio import (dump_json_line, load_tensor, read_manifest,
                               save_tensor, write_manifest)
@@ -115,3 +118,14 @@ class TestManifest:
         path.write_bytes(b'{"name": "\xff"}\n')
         with pytest.raises(DataError, match="not UTF-8"):
             read_manifest(path)
+
+
+def test_only_fileio_writes_files():
+    # One writer keeps a change to how files are written, such as an atomic
+    # rename, to one module.
+    src = Path(painforge.__file__).parent
+    writers = [f"{path.relative_to(src)}: {call}"
+               for path in sorted(src.rglob("*.py")) if path != src / "fileio.py"
+               for call in ("write_text", "write_bytes", "open(")
+               if call in path.read_text(encoding="utf-8")]
+    assert writers == []
