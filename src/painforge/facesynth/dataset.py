@@ -9,6 +9,7 @@ line-oriented JSON manifest tying frames to labels and demographics.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
@@ -21,7 +22,8 @@ from ..errors import ConfigError, DataError
 from ..fileio import load_tensor, save_tensor, write_json, write_manifest
 from ..rng import STREAM_PSPI_TARGET, derive_seed, keyed_rng
 from ..workers import map_in_order, worker_count
-from .au import NUM_PSPI_CLASSES, AUVector, pspi_score, sample_au_config
+from .au import (AU_MAX, NUM_PSPI_CLASSES, PSPI_MAX, PSPI_MIN, AUVector,
+                 pspi_score, sample_au_config)
 from .demographics import (DemographicProfile, reference_config,
                            sample_demographics, scale_config)
 from .mesh import apply_au_rig, make_identity_mesh
@@ -244,29 +246,62 @@ def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarr
     return stacked
 
 
+_ROW_IDS = ("identity_id", "expression_id", "view_id", "split_subject_id")
+_ROW_KEYS = _ROW_IDS + ("rgb_path", "heatmap_path", "au", "pspi")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _row_label(number: int, row: dict) -> str:
+    """The name of manifest row ``number`` in messages, once its ids are
+    integers (``expression_id`` may be null), ``au`` is six intensities in
+    [0, ``AU_MAX``] and ``pspi`` an integer score; a row that lacks a key or breaks
+    a rule is a DataError naming it."""
+    missing = [key for key in _ROW_KEYS if key not in row]
+    if missing:
+        raise DataError(f"manifest row {number} has no {', '.join(missing)}")
+    for key in _ROW_IDS:
+        if not (_is_int(row[key]) or key == "expression_id" and row[key] is None):
+            raise DataError(f"manifest row {number}: {key} {row[key]!r} is not an integer")
+    where = (f"manifest row {number} (identity {row['identity_id']}, expression "
+             f"{row['expression_id']}, view {row['view_id']})")
+    au = row["au"]
+    if not (isinstance(au, (list, tuple)) and len(au) == len(AU_MAX) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x <= limit
+            for x, limit in zip(au, AU_MAX))):
+        raise DataError(f"{where}: au {au!r} is not {len(AU_MAX)} intensities "
+                        f"from 0 up to {AU_MAX.tolist()}")
+    if not (_is_int(row["pspi"]) and PSPI_MIN <= row["pspi"] <= PSPI_MAX):
+        raise DataError(f"{where}: pspi {row['pspi']!r} is not an integer in "
+                        f"[{PSPI_MIN}, {PSPI_MAX}]")
+    return where
+
+
 def load_model_inputs(root, rows: list[dict], config: ModelConfig):
     """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
 
-    A rigged row without its heatmap, a row path that is not a string (None
-    stands for a neutral row's heatmap) or that is absolute or has a ``..``
-    part, is a DataError, checked before any file is read. RGB models
+    Every row is checked before any file is read; a failure is a DataError
+    naming the row. Each row needs its ids, labels and paths as
+    ``_row_label`` sets out. A rigged row needs its heatmap, and a row path
+    must be a string (None stands for a neutral row's heatmap) that is
+    neither absolute nor has a ``..`` part. RGB models
     see every row. Heatmap models (one channel) see the first row of each
     distinct ``heatmap_of``, neutral rows excluded; a
     manifest without heatmaps is a DataError for them. The inputs are
     ``load_stacked``'s checked float32 stack.
     """
-    for row in rows:
-        where = (f"identity {row['identity_id']}, expression "
-                 f"{row['expression_id']}, view {row['view_id']}")
+    for number, row in enumerate(rows, start=1):
+        where = _row_label(number, row)
         if row["expression_id"] is not None and not row["heatmap_path"]:
-            raise DataError(f"manifest row is missing its heatmap: {where}")
+            raise DataError(f"{where} is missing its heatmap")
         for key in ("rgb_path", "heatmap_path"):
             if not isinstance(row[key], str) and (key == "rgb_path" or row[key]):
-                raise DataError(f"manifest row {key} {row[key]!r} is not a path: {where}")
+                raise DataError(f"{where}: {key} {row[key]!r} is not a path")
             path = Path(row[key] or ".")
             if path.is_absolute() or ".." in path.parts:
-                raise DataError(f"manifest row {key} {row[key]!r} leaves the "
-                                f"dataset root: {where}")
+                raise DataError(f"{where}: {key} {row[key]!r} leaves the dataset root")
     if config.in_channels == 1:
         first = {}
         for row in rows:

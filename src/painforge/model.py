@@ -28,6 +28,8 @@ from .workers import map_in_order, worker_count
 _DROP_SITE_PSPI_1 = 1
 _DROP_SITE_PSPI_2 = 2
 _CHECKPOINT_FORMAT = "painforge-checkpoint-v1"
+# Images per encoder call in predict. Encoder rows do not depend on it.
+_ENCODE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -267,33 +269,30 @@ def pspi_head(cls_feature: Tensor, params: ModelParams, training: bool = False,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def forward(images: np.ndarray, params: ModelParams, training: bool = False,
-            run_seed: int = 0, step: int = 0) -> ModelOutput:
-    """Full model: patch embedding, encoder, then both prediction branches.
-    numpy's overflow and invalid-value warnings are not printed: every op
-    checks its output, and a non-finite one is a NumericError naming it."""
-    config = params.config
-    images = np.asarray(images)
+def encode(images: np.ndarray, params: ModelParams) -> Tensor:
+    """CLS row and patch tokens of checked images, plus ``pos_embed``, through
+    the encoder: the (B, 1+N, D) features, each row computed per image. numpy's
+    overflow and invalid-value warnings are not printed: every op checks its
+    output, and a non-finite one is a NumericError naming it."""
     if images.dtype != np.float32:  # float32 is cast once, in patch_embed
         images = images.astype(np.float64, copy=False)
-    if images.ndim != 4 or images.shape[1] != config.image_size or \
-            images.shape[2] != config.image_size or images.shape[3] != config.in_channels:
-        raise ConfigError(
-            f"images {images.shape} incompatible with configured "
-            f"{config.image_size}x{config.image_size}x{config.in_channels}")
-    batch = images.shape[0]
-    d = config.hidden_dim
-
+    batch, d = images.shape[0], params.config.hidden_dim
     cls_row = T.broadcast_to(T.reshape(params.tensors["cls_token"], (1, 1, d)),
                              (batch, 1, d))
     tokens = T.concat([cls_row, patch_embed(images, params)], axis=1)
-    encoded = encoder_forward(T.add(tokens, params.tensors["pos_embed"]), params)
+    return encoder_forward(T.add(tokens, params.tensors["pos_embed"]), params)
 
+
+@np.errstate(over="ignore", invalid="ignore")
+def heads(encoded: Tensor, params: ModelParams, training: bool = False,
+          run_seed: int = 0, step: int = 0) -> ModelOutput:
+    """Both prediction branches over ``encode``'s features. The pain head's
+    GEMMs, and the AU head's in a model without AU queries, take all of the
+    batch's rows at once, so their last bits can depend on the batch."""
     cls_feature = T.getitem(encoded, (slice(None), 0))
     patch_features = T.getitem(encoded, (slice(None), slice(1, None)))
-
     logits = pspi_head(cls_feature, params, training, run_seed, step)
-    if config.use_au_queries:
+    if params.config.use_au_queries:
         pooled, alpha = au_cross_attention(patch_features, params.tensors["au_queries"])
         au_pred = au_head(pooled, params)
     else:
@@ -304,23 +303,48 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
                        attention_maps=alpha)
 
 
+def _checked(images, config: ModelConfig) -> np.ndarray:
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[1] != config.image_size or \
+            images.shape[2] != config.image_size or images.shape[3] != config.in_channels:
+        raise ConfigError(
+            f"images {images.shape} incompatible with configured "
+            f"{config.image_size}x{config.image_size}x{config.in_channels}")
+    return images
+
+
+def forward(images: np.ndarray, params: ModelParams, training: bool = False,
+            run_seed: int = 0, step: int = 0) -> ModelOutput:
+    """Full model: ``encode`` the checked images, then both ``heads``."""
+    return heads(encode(_checked(images, params.config), params), params,
+                 training, run_seed, step)
+
+
 def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
-    """Eval-mode inference in batches of ``batch_size``, returning numpy
-    (pspi_logits, au_pred, cls_features); softmax the logits for probabilities.
-    Up to ``worker_count()`` batches run at once, on threads; each batch
-    computes alone, so the bits never depend on that count. The last bits of
-    the outputs can depend on ``batch_size``."""
+    """Eval-mode inference, returning numpy (pspi_logits, au_pred, cls_features);
+    softmax the logits for probabilities. Up to ``worker_count()`` threads
+    encode ``_ENCODE_CHUNK`` images at a time; the heads then run here over
+    batches of ``batch_size``. No bit depends on the thread count. Every output
+    equals ``forward`` run over the same batches; ``cls_features``, and
+    ``au_pred`` of a model with AU queries, are the same at every ``batch_size``.
+    No images is a DimensionError."""
+    images = _checked(images, params.config)
+    n = images.shape[0]
+    if n == 0:
+        raise DimensionError("predict needs at least one image, got 0")
     constant = params.detach()
+    encoded = np.empty((n, params.config.num_patches + 1, params.config.hidden_dim))
 
     def run(lo):
-        out = forward(images[lo:lo + batch_size], constant, training=False)
-        # cls_feature is a view of the whole encoder output; keep only its rows.
-        return out.pspi_logits.data, out.au_pred.data, out.cls_feature.data.copy()
+        encoded[lo:lo + _ENCODE_CHUNK] = encode(images[lo:lo + _ENCODE_CHUNK],
+                                                constant).data
 
-    outs = map_in_order(run, range(0, images.shape[0], batch_size),
-                        ThreadPoolExecutor, worker_count())
-    logits, aus, features = zip(*outs)
-    return np.concatenate(logits), np.concatenate(aus), np.concatenate(features)
+    map_in_order(run, range(0, n, _ENCODE_CHUNK), ThreadPoolExecutor, worker_count())
+    outs = []
+    for lo in range(0, n, batch_size):
+        out = heads(Tensor(encoded[lo:lo + batch_size]), constant)
+        outs.append((out.pspi_logits.data, out.au_pred.data, out.cls_feature.data))
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 # -- checkpoints ----------------------------------------------------------------

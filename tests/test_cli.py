@@ -305,6 +305,31 @@ class TestTrainEvaluate:
             f"expression {rows[1]['expression_id']}, view {rows[1]['view_id']}" in err
         assert not (ckpt.parent / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("identity_id", None), ("view_id", None), ("pspi", None),  # None: no key
+        ("au", [0.0, 1.0]), ("au", [float("nan")] * 6), ("au", [-5.0] * 6),
+        ("split_subject_id", "a"), ("pspi", 40), ("pspi", 2.0), ("expression_id", True)],
+        ids=["no-identity_id", "no-view_id", "no-pspi", "au-of-2", "au-nan",
+             "au-negative", "subject-a", "pspi-40", "pspi-2.0", "expression-true"])
+    def test_evaluate_malformed_row_exits_1(self, generated, tmp_path, capsys,
+                                            key, value):
+        _, manifest = generated
+        rows = read_manifest(manifest)
+        if value is None:
+            del rows[2][key]
+        else:
+            rows[2][key] = value
+        broken = manifest.parent / "broken.jsonl"
+        write_manifest(broken, rows)
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(broken)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "manifest row 3" in err and key in err
+        assert not (ckpt.parent / "eval_report.json").exists()
+
     def test_evaluate_truncated_checkpoint_tensor_exits_1(self, tmp_path, capsys):
         ckpt = save_checkpoint(init_params(ModelConfig(image_size=32,
                                                        hidden_dim=16,

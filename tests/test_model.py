@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -522,27 +523,28 @@ class TestPredict:
         monkeypatch.setattr(model, "ThreadPoolExecutor", _RecordingThreadPool)
         return _RecordingThreadPool.built
 
-    @pytest.mark.parametrize("batches", [1, 2, 3, 4])
-    def test_bit_equal_at_one_and_two_threads(self, pools, monkeypatch, batches):
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 4])
+    def test_bit_equal_at_one_and_two_threads(self, pools, monkeypatch, chunks):
         params = init_params(self.CFG, 0)
-        n = 5 * (batches - 1) + 3  # the last batch holds 3 of 5
-        images = np.random.default_rng(batches).random((n, 32, 32, 3))
+        n = 16 * (chunks - 1) + 3  # the last encoder chunk holds 3 of 16
+        images = np.random.default_rng(chunks).random((n, 32, 32, 3))
         outs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
             outs[threads] = predict(images.astype(np.float32), params, 5)
-        # One worker, or one batch, runs inline; else a pool of two threads.
-        assert pools == ([2] if batches > 1 else [])
+        # One worker, or one chunk, runs inline; else a pool of two threads.
+        assert pools == ([2] if chunks > 1 else [])
         assert [a.shape[0] for a in outs["1"]] == [n, n, n]
         for serial, threaded in zip(outs["1"], outs["2"]):
             assert serial.dtype == threaded.dtype == np.float64
             assert serial.tobytes() == threaded.tobytes()
 
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # Batches share only read-only arrays; a thread switch every 10 us
-        # must not change a bit of the gathered results.
+    def test_more_threads_than_cores_under_fast_switching(self, pools, monkeypatch):
+        # Encoder chunks read shared arrays and write disjoint rows of one
+        # output; seven chunks on six threads, with a thread switch every
+        # 10 us, must not change a bit of the gathered results.
         params = init_params(self.CFG, 0)
-        images = np.random.default_rng(9).random((23, 32, 32, 3))
+        images = np.random.default_rng(9).random((101, 32, 32, 3))
         monkeypatch.setenv("PAINFORGE_THREADS", "1")
         serial = predict(images, params, 2)
         monkeypatch.setenv("PAINFORGE_THREADS", "6")
@@ -560,13 +562,14 @@ class TestPredict:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
             sys.setswitchinterval(interval)
+        assert pools == [6]
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
 
     def test_non_finite_image_in_last_batch_raises_as_serial(self, monkeypatch):
         params = init_params(self.CFG, 0)
-        images = np.random.default_rng(0).random((13, 32, 32, 3))
-        images[12, 7, 9, 1] = np.nan
+        images = np.random.default_rng(0).random((37, 32, 32, 3))
+        images[36, 7, 9, 1] = np.nan
         messages = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
@@ -574,7 +577,48 @@ class TestPredict:
                 predict(images, params, 5)
             messages[threads] = str(exc.value)
         assert messages["1"] == messages["2"]
-        assert "(3, 4, 768)" in messages["1"]  # the 3-image last batch
+        assert "(5, 4, 768)" in messages["1"]  # the 5-image last encoder chunk
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_which_outputs_depend_on_batch_size(self, monkeypatch, threads):
+        # Encoder rows are computed per image, so the CLS features and the
+        # AU-query branch are the same at every batch size; the pain head's
+        # GEMMs see the batch_size partition, as forward over it does.
+        params = init_params(self.CFG, 0)
+        assert self.CFG.use_au_queries
+        images = np.random.default_rng(4).random((70, 32, 32, 3)).astype(np.float32)
+        monkeypatch.setenv("PAINFORGE_THREADS", threads)
+        reference = predict(images, params, 64)
+        constant = params.detach()
+        for batch_size in (1, 5, 7, 16, 31, 33, 64):
+            logits, au_pred, cls_features = predict(images, params, batch_size)
+            assert cls_features.tobytes() == reference[2].tobytes()
+            assert au_pred.tobytes() == reference[1].tobytes()
+            batches = [forward(images[lo:lo + batch_size], constant).pspi_logits.data
+                       for lo in range(0, len(images), batch_size)]
+            assert logits.tobytes() == np.concatenate(batches).tobytes()
+
+    def test_memory_does_not_grow_with_batch_size(self, monkeypatch):
+        # The encoder runs in fixed chunks; only the small heads see a batch.
+        monkeypatch.setenv("PAINFORGE_THREADS", "1")
+        params = init_params(ModelConfig(), 1)
+        images = np.random.default_rng(1).random((192, 64, 64, 3)).astype(np.float32)
+        predict(images[:2], params, 2)  # first-call set-up stays out of the peaks
+        peaks = {}
+        for batch_size in (16, 64):
+            tracemalloc.start()
+            try:
+                predict(images, params, batch_size)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.1 * peaks[16], peaks
+
+    def test_no_images_is_a_dimension_error(self, pools, monkeypatch):
+        monkeypatch.setenv("PAINFORGE_THREADS", "2")
+        with pytest.raises(DimensionError, match="at least one image"):
+            predict(np.zeros((0, 32, 32, 3), np.float32), init_params(self.CFG, 0), 4)
+        assert pools == []
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, raw):

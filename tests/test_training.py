@@ -340,17 +340,18 @@ class TestTrainStudent:
         _, manifest = small_data
         seen = []
 
-        def spy(real):
-            def forward(images, params, training=False, *args, **kwargs):
-                out = real(images, params, training, *args, **kwargs)
-                seen.append((training, [t.requires_grad for t in
-                                        (out.pspi_logits, out.au_pred,
-                                         out.cls_feature)]))
-                return out
-            return forward
+        real_heads = model.heads
 
-        monkeypatch.setattr(model, "forward", spy(model.forward))
-        monkeypatch.setattr(training, "forward", spy(training.forward))
+        def heads(encoded, params, training=False, *args, **kwargs):
+            # cls_feature is a row of the encoder output, so it carries any
+            # graph the encoder built.
+            out = real_heads(encoded, params, training, *args, **kwargs)
+            seen.append((training, [t.requires_grad for t in
+                                    (out.pspi_logits, out.au_pred, out.cls_feature)]))
+            return out
+
+        # forward and predict both reach the heads through this module name.
+        monkeypatch.setattr(model, "heads", heads)
         config = TrainConfig(epochs=1, freeze_epochs=0, batch_size=8, seed=1,
                              val_fraction=0.3)
         teacher_ckpt, _ = train_teacher(manifest, tmp_path / "t",
