@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from . import tensor as T
 from .fileio import read_manifest
 from .facesynth.dataset import load_model_inputs
@@ -15,9 +13,8 @@ from .model import load_checkpoint, predict
 def prediction_set_from_manifest(params, manifest_path,
                                  batch_size: int = 64) -> PredictionSet:
     """Run eval-mode inference over every manifest row the model applies to."""
-    manifest_path = Path(manifest_path)
     inputs, pspi, au, subjects = load_model_inputs(
-        manifest_path.parent, read_manifest(manifest_path), params.config)
+        manifest_path, read_manifest(manifest_path), params.config)
     logits, au_pred, _ = predict(inputs, params, batch_size)
     probs = T.softmax(logits, axis=-1).data
     return PredictionSet(pspi_probs=probs, au_pred=au_pred, true_pspi=pspi,

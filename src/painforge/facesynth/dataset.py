@@ -140,7 +140,7 @@ def _identity_intact(out: Path, rows: list[dict], res: int) -> bool:
         try:
             if load_tensor(out / path).shape != shape:
                 return False
-        except (OSError, DataError):
+        except DataError:
             return False
     return True
 
@@ -213,37 +213,50 @@ def heatmap_of(row: dict) -> str | None:
     return None if row["expression_id"] is None else row["heatmap_path"]
 
 
-def load_stacked(root, paths: list[str | None], config: ModelConfig) -> np.ndarray:
-    """Model inputs for ``config`` as one preallocated stack in the files' own
-    dtype (float32 for a built dataset), with a channel axis for heatmap
-    models; a None path is the all-zero heatmap of a neutral frame. The first
-    file must have the model's resolution (ConfigError) and every other image
-    its shape and dtype (DataError naming the file).
+class FrameStack:
+    """Model inputs for ``config``, read on demand: a stack of the files at
+    ``paths`` under ``root``, with a channel axis for heatmap models; a None
+    path is the all-zero heatmap of a neutral frame. Building it reads only
+    the lead (first non-None) file, which must have the model's resolution
+    (ConfigError); ``len`` and ``shape`` follow from it and the paths. A slice
+    ``[lo:hi]`` reads just its files into a fresh array in the lead's dtype
+    (float32 for a built dataset); each must have the lead's shape and dtype
+    (DataError naming the file). Slices may be read from several threads.
     """
-    if not paths:
-        raise DataError("manifest has no rows to load")
-    size = config.image_size
 
-    def read(path, dtype=np.float32):
-        return (np.zeros((size, size), dtype) if path is None
-                else load_tensor(Path(root) / path))
+    def __init__(self, root, paths: list[str | None], config: ModelConfig):
+        if not paths:
+            raise DataError("manifest has no rows to load")
+        self.root, self.paths, self._size = Path(root), list(paths), config.image_size
+        self._lead = next((i for i, path in enumerate(paths) if path is not None), 0)
+        lead = self._lead_image = self._read(self.paths[self._lead], np.float32)
+        if lead.shape[:2] != (self._size, self._size):
+            raise ConfigError(f"data resolution {lead.shape[0]}x{lead.shape[1]} does not "
+                              f"match model config {self._size}x{self._size}")
+        self.dtype = lead.dtype
+        self.shape = ((len(paths),) + lead.shape
+                      + ((1,) if config.in_channels == 1 else ()))
 
-    lead = next((i for i, path in enumerate(paths) if path is not None), 0)
-    first = read(paths[lead])
-    if first.shape[:2] != (size, size):
-        raise ConfigError(
-            f"data resolution {first.shape[0]}x{first.shape[1]} does not "
-            f"match model config {size}x{size}")
-    shape = first.shape + ((1,) if config.in_channels == 1 else ())
-    stacked = np.empty((len(paths),) + shape, first.dtype)
-    for i, path in enumerate(paths):
-        image = first if i == lead else read(path, first.dtype)
-        if image.shape != first.shape or image.dtype != first.dtype:
-            raise DataError(f"{path}: {image.dtype} image of shape {image.shape} "
-                            f"differs from the {first.dtype} {first.shape} of "
-                            f"{paths[lead]}")
-        stacked[i] = image.reshape(shape)
-    return stacked
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def _read(self, path: str | None, dtype) -> np.ndarray:
+        if path is None:
+            return np.zeros((self._size, self._size), dtype)
+        return load_tensor(self.root / path)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        rows = range(len(self.paths))[key]
+        stacked = np.empty((len(rows),) + self.shape[1:], self.dtype)
+        for out, i in enumerate(rows):
+            image = (self._lead_image if i == self._lead
+                     else self._read(self.paths[i], self.dtype))
+            if image.shape != self._lead_image.shape or image.dtype != self.dtype:
+                raise DataError(f"{self.paths[i]}: {image.dtype} image of shape "
+                                f"{image.shape} differs from the {self.dtype} "
+                                f"{self._lead_image.shape} of {self.paths[self._lead]}")
+            stacked[out] = image.reshape(self.shape[1:])
+        return stacked
 
 
 _ROW_IDS = ("identity_id", "expression_id", "view_id", "split_subject_id")
@@ -254,18 +267,19 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _row_label(number: int, row: dict) -> str:
-    """The name of manifest row ``number`` in messages, once its ids are
+def _row_label(manifest: Path, number: int, row: dict) -> str:
+    """The name of row ``number`` of ``manifest`` in messages, once its ids are
     integers (``expression_id`` may be null), ``au`` is six intensities in
     [0, ``AU_MAX``] and ``pspi`` an integer score; a row that lacks a key or breaks
     a rule is a DataError naming it."""
+    name = f"{manifest}: manifest row {number}"
     missing = [key for key in _ROW_KEYS if key not in row]
     if missing:
-        raise DataError(f"manifest row {number} has no {', '.join(missing)}")
+        raise DataError(f"{name} has no {', '.join(missing)}")
     for key in _ROW_IDS:
         if not (_is_int(row[key]) or key == "expression_id" and row[key] is None):
-            raise DataError(f"manifest row {number}: {key} {row[key]!r} is not an integer")
-    where = (f"manifest row {number} (identity {row['identity_id']}, expression "
+            raise DataError(f"{name}: {key} {row[key]!r} is not an integer")
+    where = (f"{name} (identity {row['identity_id']}, expression "
              f"{row['expression_id']}, view {row['view_id']})")
     au = row["au"]
     if not (isinstance(au, (list, tuple)) and len(au) == len(AU_MAX) and all(
@@ -279,21 +293,25 @@ def _row_label(number: int, row: dict) -> str:
     return where
 
 
-def load_model_inputs(root, rows: list[dict], config: ModelConfig):
-    """Model inputs and labels from manifest rows: (inputs, pspi, au, subjects).
+def load_model_inputs(manifest_path, rows: list[dict], config: ModelConfig):
+    """Model inputs and labels from the rows of ``manifest_path``, whose
+    directory is the dataset root: (inputs, pspi, au, subjects).
 
     Every row is checked before any file is read; a failure is a DataError
-    naming the row. Each row needs its ids, labels and paths as
-    ``_row_label`` sets out. A rigged row needs its heatmap, and a row path
-    must be a string (None stands for a neutral row's heatmap) that is
-    neither absolute nor has a ``..`` part. RGB models
+    naming the manifest file and the row. Each row needs its ids, labels and
+    paths as ``_row_label`` sets out. A rigged row needs its heatmap, and a
+    row path must be a string (None stands for a neutral row's heatmap) that
+    is neither absolute nor has a ``..`` part. RGB models
     see every row. Heatmap models (one channel) see the first row of each
     distinct ``heatmap_of``, neutral rows excluded; a
-    manifest without heatmaps is a DataError for them. The inputs are
-    ``load_stacked``'s checked float32 stack.
+    manifest without heatmaps is a DataError for them. The inputs are a
+    ``FrameStack``: only its lead file is read here. ``predict`` reads each
+    encode chunk's files in the thread that encodes it, so inference never
+    holds the whole stack; ``inputs[:]`` reads it in full.
     """
+    manifest_path = Path(manifest_path)
     for number, row in enumerate(rows, start=1):
-        where = _row_label(number, row)
+        where = _row_label(manifest_path, number, row)
         if row["expression_id"] is not None and not row["heatmap_path"]:
             raise DataError(f"{where} is missing its heatmap")
         for key in ("rgb_path", "heatmap_path"):
@@ -308,11 +326,11 @@ def load_model_inputs(root, rows: list[dict], config: ModelConfig):
             first.setdefault(heatmap_of(row), row)
         first.pop(None, None)
         if not first:
-            raise DataError("manifest has no heatmap rows for a heatmap model")
+            raise DataError(f"{manifest_path} has no heatmap rows for a heatmap model")
         rows, paths = list(first.values()), list(first)
     else:
         paths = [r["rgb_path"] for r in rows]
-    return (load_stacked(root, paths, config),
+    return (FrameStack(manifest_path.parent, paths, config),
             np.array([r["pspi"] for r in rows], dtype=np.int64),
             np.array([r["au"] for r in rows], dtype=np.float64),
             np.array([r["split_subject_id"] for r in rows], dtype=np.int64))

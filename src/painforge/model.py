@@ -303,12 +303,13 @@ def heads(encoded: Tensor, params: ModelParams, training: bool = False,
                        attention_maps=alpha)
 
 
-def _checked(images, config: ModelConfig) -> np.ndarray:
-    images = np.asarray(images)
-    if images.ndim != 4 or images.shape[1] != config.image_size or \
-            images.shape[2] != config.image_size or images.shape[3] != config.in_channels:
+def _checked(images, config: ModelConfig):
+    """``images`` as given, once their ``shape`` fits ``config``."""
+    shape = images.shape
+    if len(shape) != 4 or shape[1] != config.image_size or \
+            shape[2] != config.image_size or shape[3] != config.in_channels:
         raise ConfigError(
-            f"images {images.shape} incompatible with configured "
+            f"images {shape} incompatible with configured "
             f"{config.image_size}x{config.image_size}x{config.in_channels}")
     return images
 
@@ -316,18 +317,21 @@ def _checked(images, config: ModelConfig) -> np.ndarray:
 def forward(images: np.ndarray, params: ModelParams, training: bool = False,
             run_seed: int = 0, step: int = 0) -> ModelOutput:
     """Full model: ``encode`` the checked images, then both ``heads``."""
-    return heads(encode(_checked(images, params.config), params), params,
+    return heads(encode(_checked(np.asarray(images), params.config), params), params,
                  training, run_seed, step)
 
 
-def predict(images: np.ndarray, params: ModelParams, batch_size: int = 64):
+def predict(images, params: ModelParams, batch_size: int = 64):
     """Eval-mode inference, returning numpy (pspi_logits, au_pred, cls_features);
-    softmax the logits for probabilities. Up to ``worker_count()`` threads
-    encode ``_ENCODE_CHUNK`` images at a time; the heads then run here over
-    batches of ``batch_size``. No bit depends on the thread count. Every output
-    equals ``forward`` run over the same batches; ``cls_features``, and
-    ``au_pred`` of a model with AU queries, are the same at every ``batch_size``.
-    No images is a DimensionError."""
+    softmax the logits for probabilities. ``images`` is an array or anything
+    with its ``shape`` whose slices are arrays, such as a ``FrameStack``. Up to
+    ``worker_count()`` threads encode ``_ENCODE_CHUNK`` images at a time, each
+    slicing its own chunk, so a ``FrameStack``'s files are read in the thread
+    that encodes them and the whole stack is never held; the heads then run
+    here over batches of ``batch_size``. No bit depends on the thread count.
+    Every output equals ``forward`` run over the same batches; ``cls_features``,
+    and ``au_pred`` of a model with AU queries, are the same at every
+    ``batch_size``. No images is a DimensionError."""
     images = _checked(images, params.config)
     n = images.shape[0]
     if n == 0:

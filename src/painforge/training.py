@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, MetricError
 from .fileio import read_manifest, write_json, write_manifest
-from .facesynth.dataset import heatmap_of, load_model_inputs, load_stacked
+from .facesynth.dataset import FrameStack, heatmap_of, load_model_inputs
 from .metrics import macro_auroc, subject_holdout
 from .model import (ModelConfig, ModelOutput, ModelParams, forward,
                     init_params, load_checkpoint, predict, save_checkpoint)
@@ -245,11 +245,11 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
                   train_config: TrainConfig | None = None,
                   loss_weights: LossWeights | None = None):
     """Supervised training on frontal heatmaps, one sample per expression."""
-    manifest_path = Path(manifest_path)
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=1)
-    data = load_model_inputs(manifest_path.parent, read_manifest(manifest_path),
-                             model_config)
-    return _train_loop("teacher", data, None, model_config,
+    # Batches are drawn at random every epoch, so the inputs are read in full.
+    inputs, *labels = load_model_inputs(manifest_path, read_manifest(manifest_path),
+                                        model_config)
+    return _train_loop("teacher", (inputs[:], *labels), None, model_config,
                        train_config or TrainConfig(), loss_weights or LossWeights(),
                        out_dir)
 
@@ -262,11 +262,12 @@ def _precompute_teacher_signals(rows, root, teacher: ModelParams,
 
     Rows are keyed by ``heatmap_of`` (neutral rows share None, the all-zero
     heatmap) and come checked by ``load_model_inputs``. The heatmaps run in
-    first-appearance order, in batches of ``batch_size``.
+    first-appearance order, in batches of ``batch_size``, read by ``predict``
+    one encode chunk at a time.
     """
     keys = [heatmap_of(row) for row in rows]
     index_of = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    outputs = predict(load_stacked(root, list(index_of), teacher.config),
+    outputs = predict(FrameStack(root, list(index_of), teacher.config),
                       teacher, batch_size)
     gather = np.array([index_of[key] for key in keys])
     return tuple(out[gather] for out in outputs)
@@ -281,12 +282,11 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
     Without a teacher this is the supervised baseline: same data, same seeds,
     same parameter trajectory as a distillation run whose weights are zero.
     """
-    manifest_path = Path(manifest_path)
-    root = manifest_path.parent
     rows = read_manifest(manifest_path)
     config = train_config or TrainConfig()
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=3)
-    data = load_model_inputs(root, rows, model_config)
+    inputs, *labels = load_model_inputs(manifest_path, rows, model_config)
+    data = (inputs[:], *labels)
 
     teacher_arrays = None
     role = "student_baseline"
@@ -296,8 +296,8 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
             raise ConfigError(
                 f"teacher hidden dim {teacher.config.hidden_dim} does not match "
                 f"student {model_config.hidden_dim}; CLS features cannot align")
-        teacher_arrays = _precompute_teacher_signals(rows, root, teacher,
-                                                     config.batch_size)
+        teacher_arrays = _precompute_teacher_signals(
+            rows, Path(manifest_path).parent, teacher, config.batch_size)
         role = "student_distilled"
 
     return _train_loop(role, data, teacher_arrays, model_config, config,

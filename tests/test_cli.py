@@ -327,7 +327,26 @@ class TestTrainEvaluate:
         code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(broken)])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
-        assert "manifest row 3" in err and key in err
+        assert "manifest row 3" in err and key in err and str(broken) in err
+        assert not (ckpt.parent / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("victim", ["frame", "checkpoint tensor"])
+    def test_evaluate_missing_file_exits_1(self, generated, tmp_path, capsys,
+                                           monkeypatch, victim, threads):
+        # The frame is in the second encode chunk, read on a pool thread at 2.
+        _, manifest = generated
+        ckpt = save_checkpoint(init_params(ModelConfig(image_size=32, hidden_dim=16,
+                                                       num_layers=1, num_heads=2), 0),
+                               tmp_path / "ckpt")
+        missing = (manifest.parent / read_manifest(manifest)[20]["rgb_path"]
+                   if victim == "frame" else ckpt / "pos_embed.p3dt")
+        missing.unlink()
+        monkeypatch.setenv("PAINFORGE_THREADS", threads)
+        code = main(["evaluate", "--ckpt", str(ckpt), "--data", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert f"{missing}: cannot read tensor file" in err
         assert not (ckpt.parent / "eval_report.json").exists()
 
     def test_evaluate_truncated_checkpoint_tensor_exits_1(self, tmp_path, capsys):

@@ -98,9 +98,9 @@ class TestRowInvariants:
 class TestModelInputs:
     @pytest.mark.parametrize("channels", [3, 1])
     def test_inputs_equal_the_stacked_images(self, built, channels):
-        out, _, rows = built
+        out, manifest, rows = built
         config = ModelConfig(image_size=32, in_channels=channels)
-        inputs = load_model_inputs(out, rows, config)[0]
+        inputs = load_model_inputs(manifest, rows, config)[0][:]
         if channels == 3:
             oracle = np.stack([load_tensor(out / r["rgb_path"]) for r in rows])
         else:
@@ -124,8 +124,8 @@ class TestModelInputs:
         victim = [r[key] for r in rows if r[key]][-1]
         save_tensor(copy / victim, load_tensor(copy / victim).astype(np.float64))
         with pytest.raises(DataError, match=f"{victim}: float64"):
-            load_model_inputs(copy, rows, ModelConfig(image_size=32,
-                                                      in_channels=channels))
+            load_model_inputs(copy / "manifest.jsonl", rows,
+                              ModelConfig(image_size=32, in_channels=channels))[0][:]
 
     def test_frame_of_another_shape_is_a_data_error(self, built, tmp_path):
         out, _, rows = built
@@ -133,7 +133,8 @@ class TestModelInputs:
         shutil.copytree(out, copy)
         save_tensor(copy / rows[4]["rgb_path"], np.zeros((16, 16, 3), np.float32))
         with pytest.raises(DataError, match=rows[4]["rgb_path"]):
-            load_model_inputs(copy, rows, ModelConfig(image_size=32))
+            load_model_inputs(copy / "manifest.jsonl", rows,
+                              ModelConfig(image_size=32))[0][:]
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from painforge import evaluation
 from painforge.errors import ConfigError, DataError
 from painforge.evaluation import evaluate_model, prediction_set_from_manifest
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
-from painforge.fileio import read_manifest, write_manifest
+from painforge.fileio import read_manifest, save_tensor, write_manifest
 from painforge.model import ModelConfig, init_params, save_checkpoint
 from painforge.training import TrainConfig, train_teacher
 
@@ -129,3 +130,29 @@ class TestEvaluateModel:
         with pytest.raises(ConfigError, match=r"binary thresholds .* must be "
                                               r"integers in \[1, 16\]"):
             evaluate_model(rgb_ckpt, manifest, thresholds=thresholds)
+
+
+def test_inference_never_holds_the_input_stack(tmp_path, monkeypatch):
+    # predict reads each encode chunk's frames as it encodes them, so an
+    # evaluation pass peaks below the float32 stack of its manifest's inputs.
+    monkeypatch.setenv("PAINFORGE_THREADS", "1")
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(200):
+        rows.append({"identity_id": i // 5, "expression_id": None, "view_id": i % 5,
+                     "split_subject_id": i // 5, "rgb_path": f"f{i:03d}.p3dt",
+                     "heatmap_path": None, "au": [0.0] * 6, "pspi": 0})
+        save_tensor(tmp_path / rows[-1]["rgb_path"],
+                    rng.random((64, 64, 3)).astype(np.float32))
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, rows)
+    params = init_params(ModelConfig(), 0)
+    stack_bytes = 200 * 64 * 64 * 3 * np.dtype(np.float32).itemsize
+    prediction_set_from_manifest(params, manifest)  # first-call set-up stays out
+    tracemalloc.start()
+    try:
+        prediction_set_from_manifest(params, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, (peak, stack_bytes)

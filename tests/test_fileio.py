@@ -79,6 +79,14 @@ class TestTensorFormat:
         with pytest.raises(DataError, match="payload"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_file_is_a_data_error_naming_it(self, tmp_path, make):
+        path = tmp_path / "t.p3dt"
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=f"{path}: cannot read tensor file"):
+            load_tensor(path)
+
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(DataError):
             save_tensor(tmp_path / "t.p3dt", np.ones(3, dtype=np.int64))

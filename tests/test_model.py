@@ -1,10 +1,12 @@
 """Model architecture: shapes, attention equations, heads, checkpoints."""
 
+import dataclasses
 import math
 import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -16,6 +18,9 @@ import primitive_chains as chains
 from painforge import model
 from painforge import tensor as T
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
+from painforge.facesynth import dataset
+from painforge.facesynth.dataset import FrameStack
+from painforge.fileio import save_tensor
 from painforge.model import (ModelConfig, au_cross_attention,
                              au_head, encoder_forward, forward, init_params,
                              load_checkpoint, patch_embed, predict, pspi_head,
@@ -503,6 +508,18 @@ def test_one_positional_add_matches_split_assembly(use_au_queries, heads):
     assert grads["pos_embed"] is not None and grads["cls_token"] is not None
 
 
+def _frame_files(root, n, shape, seed, none_at=()):
+    """Paths of ``n`` random float32 frames of ``shape`` written under ``root``;
+    None at the indices ``none_at`` (neutral heatmaps)."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for i in range(n):
+        paths.append(None if i in none_at else f"f{i:03d}.p3dt")
+        if paths[-1]:
+            save_tensor(root / paths[-1], rng.random(shape).astype(np.float32))
+    return paths
+
+
 class _RecordingThreadPool(ThreadPoolExecutor):
     """The thread pool ``predict`` builds, recording its ``max_workers``."""
 
@@ -565,6 +582,54 @@ class TestPredict:
         assert pools == [6]
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_frame_stack_is_bit_equal_to_its_full_read(self, pools, tmp_path,
+                                                       monkeypatch, chunks, channels):
+        # Each encode chunk reads its own files; the rows are the same as over
+        # the stack read in full, at one thread and on a pool of two.
+        config = dataclasses.replace(self.CFG, in_channels=channels)
+        n = 16 * chunks + 3  # the last encode chunk holds 3 of 16
+        shape, none_at = ((32, 32, 3), ()) if channels == 3 else ((32, 32), (0, 17, n - 1))
+        stack = FrameStack(tmp_path, _frame_files(tmp_path, n, shape, chunks, none_at),
+                           config)
+        full = stack[:]
+        assert len(stack) == n and stack.shape == full.shape == (n, 32, 32, channels)
+        assert full.dtype == np.float32 and not full[list(none_at)].any()
+        params = init_params(config, 0)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PAINFORGE_THREADS", threads)
+            for lazy, eager in zip(predict(stack, params, 5), predict(full, params, 5)):
+                assert lazy.tobytes() == eager.tobytes()
+        assert pools == [2, 2]
+
+    def test_bad_file_read_in_a_pool_thread_raises_as_serial(self, pools, tmp_path,
+                                                             monkeypatch):
+        paths = _frame_files(tmp_path, 35, (32, 32, 3), 0)
+        victim = paths[33]  # in the third encode chunk
+        save_tensor(tmp_path / victim, np.zeros((32, 32, 3), np.float64))
+        stack = FrameStack(tmp_path, paths, self.CFG)
+        readers = []
+        load = dataset.load_tensor
+
+        def recording_load(path):
+            if path.name == victim:
+                readers.append(threading.current_thread())
+            return load(path)
+
+        monkeypatch.setattr(dataset, "load_tensor", recording_load)
+        params = init_params(self.CFG, 0)
+        messages = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PAINFORGE_THREADS", threads)
+            with pytest.raises(DataError) as exc:
+                predict(stack, params, 5)
+            messages[threads] = str(exc.value)
+        assert pools == [2]
+        assert readers[0] is threading.main_thread() is not readers[1]
+        assert messages["1"] == messages["2"]
+        assert messages["1"].startswith(f"{victim}: float64 image")
 
     def test_non_finite_image_in_last_batch_raises_as_serial(self, monkeypatch):
         params = init_params(self.CFG, 0)

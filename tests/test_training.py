@@ -182,7 +182,8 @@ class TestPairModalities:
         for channels in (3, 1):
             config = dataclasses.replace(MODEL32, in_channels=channels)
             with pytest.raises(DataError) as err:
-                load_model_inputs(tmp_path / "missing", broken, config)
+                load_model_inputs(tmp_path / "missing" / "manifest.jsonl", broken,
+                                  config)
             assert (f"identity {victim['identity_id']}, expression "
                     f"{victim['expression_id']}, view {victim['view_id']}"
                     in str(err.value))
