@@ -162,11 +162,17 @@ def cmd_pipeline(args) -> int:
         if not test:
             raise ConfigError("the test split is empty: one identity leaves none "
                               "to hold out; dataset.identities must be >= 2")
+        test_rows = [r for r in rows if r["split_subject_id"] in test]
+        classes = sorted({r["pspi"] for r in test_rows})
+        if len(classes) < 2:
+            raise ConfigError(f"the test split holds only PSPI {classes} over "
+                              f"{len(test)} subjects; its macro AUROC needs two "
+                              f"classes (see dataset.pspi_distribution)")
         train_manifest = out_root / "data" / "manifest_train.jsonl"
         test_manifest = out_root / "data" / "manifest_test.jsonl"
         write_manifest(train_manifest,
                        [r for r in rows if r["split_subject_id"] not in test])
-        write_manifest(test_manifest, [r for r in rows if r["split_subject_id"] in test])
+        write_manifest(test_manifest, test_rows)
 
         checkpoints = {}
         for name, role, distils in PIPELINE_STAGES:

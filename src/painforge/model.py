@@ -30,6 +30,8 @@ _DROP_SITE_PSPI_2 = 2
 _CHECKPOINT_FORMAT = "painforge-checkpoint-v1"
 # Images per encoder call in predict. Encoder rows do not depend on it.
 _ENCODE_CHUNK = 16
+# Rows per heads call in predict, the one partition every caller gets.
+_HEADS_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,8 @@ def heads(encoded: Tensor, params: ModelParams, training: bool = False,
           run_seed: int = 0, step: int = 0) -> ModelOutput:
     """Both prediction branches over ``encode``'s features. The pain head's
     GEMMs, and the AU head's in a model without AU queries, take all of the
-    batch's rows at once, so their last bits can depend on the batch."""
+    rows at once, so their last bits can depend on how many rows there are;
+    ``predict`` passes them ``_HEADS_GROUP`` rows at a time."""
     cls_feature = T.getitem(encoded, (slice(None), 0))
     patch_features = T.getitem(encoded, (slice(None), slice(1, None)))
     logits = pspi_head(cls_feature, params, training, run_seed, step)
@@ -321,17 +324,17 @@ def forward(images: np.ndarray, params: ModelParams, training: bool = False,
                  training, run_seed, step)
 
 
-def predict(images, params: ModelParams, batch_size: int = 64):
+def predict(images, params: ModelParams):
     """Eval-mode inference, returning numpy (pspi_logits, au_pred, cls_features);
     softmax the logits for probabilities. ``images`` is an array or anything
     with its ``shape`` whose slices are arrays, such as a ``FrameStack``. Up to
     ``worker_count()`` threads encode ``_ENCODE_CHUNK`` images at a time, each
     slicing its own chunk, so a ``FrameStack``'s files are read in the thread
     that encodes them and the whole stack is never held; the heads then run
-    here over batches of ``batch_size``. No bit depends on the thread count.
-    Every output equals ``forward`` run over the same batches; ``cls_features``,
-    and ``au_pred`` of a model with AU queries, are the same at every
-    ``batch_size``. No images is a DimensionError."""
+    here over consecutive groups of ``_HEADS_GROUP`` rows. No bit depends on
+    the thread count, and every output equals ``forward`` run over the same
+    groups, so every caller gets the same bits for the same images. No images
+    is a DimensionError."""
     images = _checked(images, params.config)
     n = images.shape[0]
     if n == 0:
@@ -345,8 +348,8 @@ def predict(images, params: ModelParams, batch_size: int = 64):
 
     map_in_order(run, range(0, n, _ENCODE_CHUNK), ThreadPoolExecutor, worker_count())
     outs = []
-    for lo in range(0, n, batch_size):
-        out = heads(Tensor(encoded[lo:lo + batch_size]), constant)
+    for lo in range(0, n, _HEADS_GROUP):
+        out = heads(Tensor(encoded[lo:lo + _HEADS_GROUP]), constant)
         outs.append((out.pspi_logits.data, out.au_pred.data, out.cls_feature.data))
     return tuple(np.concatenate(parts) for parts in zip(*outs))
 

@@ -170,7 +170,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
     def validation_auroc() -> float | None:
         if val_idx.size == 0:
             return None
-        logits, _, _ = predict(inputs[val_idx], params, config.batch_size)
+        logits, _, _ = predict(inputs[val_idx], params)
         try:
             return macro_auroc(T.softmax(logits, axis=-1).data, pspi[val_idx])
         except MetricError:
@@ -254,21 +254,19 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
                        out_dir)
 
 
-def _precompute_teacher_signals(rows, root, teacher: ModelParams,
-                                batch_size: int):
+def _precompute_teacher_signals(rows, root, teacher: ModelParams):
     """Teacher outputs per unique heatmap, gathered back per student row:
     the (pspi_logits, au_pred, cls_feature) arrays of ``predict``, the
     ``teacher`` form that ``compose_loss`` takes once sliced to a batch.
 
     Rows are keyed by ``heatmap_of`` (neutral rows share None, the all-zero
-    heatmap) and come checked by ``load_model_inputs``. The heatmaps run in
-    first-appearance order, in batches of ``batch_size``, read by ``predict``
-    one encode chunk at a time.
+    heatmap) and come checked by ``load_model_inputs``. The heatmaps run
+    through ``predict`` in first-appearance order, which fixes the rows that
+    share a head group, and are read one encode chunk at a time.
     """
     keys = [heatmap_of(row) for row in rows]
     index_of = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    outputs = predict(FrameStack(root, list(index_of), teacher.config),
-                      teacher, batch_size)
+    outputs = predict(FrameStack(root, list(index_of), teacher.config), teacher)
     gather = np.array([index_of[key] for key in keys])
     return tuple(out[gather] for out in outputs)
 
@@ -282,23 +280,25 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
     Without a teacher this is the supervised baseline: same data, same seeds,
     same parameter trajectory as a distillation run whose weights are zero.
     """
-    rows = read_manifest(manifest_path)
-    config = train_config or TrainConfig()
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=3)
-    inputs, *labels = load_model_inputs(manifest_path, rows, model_config)
-    data = (inputs[:], *labels)
-
-    teacher_arrays = None
-    role = "student_baseline"
+    # A teacher that cannot serve fails before the student's inputs are read.
+    teacher = None
     if teacher_checkpoint is not None:
         teacher = load_checkpoint(teacher_checkpoint)
+        if teacher.config.in_channels != 1:
+            raise ConfigError(
+                f"teacher checkpoint {teacher_checkpoint} takes "
+                f"{teacher.config.in_channels}-channel images, not heatmaps")
         if teacher.config.hidden_dim != model_config.hidden_dim:
             raise ConfigError(
                 f"teacher hidden dim {teacher.config.hidden_dim} does not match "
                 f"student {model_config.hidden_dim}; CLS features cannot align")
-        teacher_arrays = _precompute_teacher_signals(
-            rows, Path(manifest_path).parent, teacher, config.batch_size)
-        role = "student_distilled"
-
-    return _train_loop(role, data, teacher_arrays, model_config, config,
-                       loss_weights or LossWeights(), out_dir)
+    rows = read_manifest(manifest_path)
+    inputs, *labels = load_model_inputs(manifest_path, rows, model_config)
+    data = (inputs[:], *labels)
+    teacher_arrays = (None if teacher is None else _precompute_teacher_signals(
+        rows, Path(manifest_path).parent, teacher))
+    role = "student_baseline" if teacher is None else "student_distilled"
+    return _train_loop(role, data, teacher_arrays, model_config,
+                       train_config or TrainConfig(), loss_weights or LossWeights(),
+                       out_dir)

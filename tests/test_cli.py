@@ -258,6 +258,25 @@ class TestTrainEvaluate:
         assert code == 2 and err.startswith("config error:")
         assert "32x32" in err and "64x64" in err and "Traceback" not in err
 
+    def test_student_with_rgb_teacher_exits_2_before_reading_inputs(
+            self, generated, tmp_path, capsys, monkeypatch):
+        from painforge import training
+        config_file, manifest = generated
+        teacher = save_checkpoint(
+            init_params(ModelConfig(image_size=32, patch_size=16, hidden_dim=32,
+                                    num_layers=1, num_heads=2), 0), tmp_path / "rgb")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("student inputs were read before the teacher check")
+
+        monkeypatch.setattr(training, "load_model_inputs", unreachable)
+        code = main(["train", "--role", "student", "--data", str(manifest),
+                     "--teacher", str(teacher), "--config", str(config_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:")
+        assert f"teacher checkpoint {teacher} takes 3-channel images" in err
+        assert not (tmp_path / "run" / "train_student").exists()
+
     def test_teacher_on_rgb_only_manifest_exits_1(self, generated, tmp_path):
         config_file, manifest = generated
         rows = [r for r in read_manifest(manifest) if r["expression_id"] is None]
@@ -492,6 +511,24 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "test split is empty" in err
+        assert not list((tmp_path / "pipe").glob("train_*"))
+        ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
+        assert [json.loads(line)["stage"] for line in ledger] == ["generate"]
+
+    def test_one_class_test_split_exits_2_before_any_training(self, tmp_path,
+                                                               capsys):
+        config = tmp_path / "p.cfg"
+        config.write_text(
+            "dataset.identities = 8\ndataset.expressions = 1\n"
+            "dataset.views = 0\ndataset.resolution = 32\n"
+            "dataset.pspi_distribution = 1" + ",0" * 16 + "\n"
+            "model.hidden_dim = 32\nmodel.num_layers = 1\nmodel.num_heads = 2\n"
+            "train.epochs = 1\ntrain.freeze_epochs = 0\n"
+            f"out = {tmp_path / 'pipe'}\n")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "the test split holds only PSPI [0]" in err
         assert not list((tmp_path / "pipe").glob("train_*"))
         ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
         assert [json.loads(line)["stage"] for line in ledger] == ["generate"]

@@ -9,7 +9,7 @@ import pytest
 
 from painforge import evaluation
 from painforge.errors import ConfigError, DataError
-from painforge.evaluation import evaluate_model, prediction_set_from_manifest
+from painforge.evaluation import evaluate_model
 from painforge.facesynth.dataset import DatasetSpec, build_dataset
 from painforge.fileio import read_manifest, save_tensor, write_manifest
 from painforge.model import ModelConfig, init_params, save_checkpoint
@@ -105,11 +105,14 @@ class TestEvaluateModel:
         report = evaluate_model(ckpt, manifest)
         assert report["overall"]["macro_auroc"] > 0.6
 
-    def test_prediction_set_probs_normalized(self, data_and_ckpts):
+    def test_prediction_set_probs_normalized(self, data_and_ckpts, monkeypatch):
         _, manifest, rgb_ckpt, _ = data_and_ckpts
-        from painforge.model import load_checkpoint
-        pred = prediction_set_from_manifest(load_checkpoint(rgb_ckpt), manifest)
-        assert np.allclose(pred.pspi_probs.sum(axis=1), 1.0, atol=1e-9)
+        seen = []
+        report = evaluation.evaluation_report
+        monkeypatch.setattr(evaluation, "evaluation_report",
+                            lambda pred, *args: seen.append(pred) or report(pred, *args))
+        evaluate_model(rgb_ckpt, manifest)
+        assert np.allclose(seen[0].pspi_probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic_report(self, data_and_ckpts):
         _, manifest, rgb_ckpt, _ = data_and_ckpts
@@ -131,6 +134,19 @@ class TestEvaluateModel:
                                               r"integers in \[1, 16\]"):
             evaluate_model(rgb_ckpt, manifest, thresholds=thresholds)
 
+    @pytest.mark.parametrize("k_folds", [0, 6])  # the manifest has 5 subjects
+    def test_fold_plan_checked_before_inference(self, data_and_ckpts, monkeypatch,
+                                                k_folds):
+        _, manifest, rgb_ckpt, _ = data_and_ckpts
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("predict ran before the fold plan was made")
+
+        monkeypatch.setattr(evaluation, "predict", unreachable)
+        with pytest.raises(ConfigError, match=f"cannot make {k_folds} folds from 5 "
+                                              f"subjects"):
+            evaluate_model(rgb_ckpt, manifest, k_folds=k_folds)
+
 
 def test_inference_never_holds_the_input_stack(tmp_path, monkeypatch):
     # predict reads each encode chunk's frames as it encodes them, so an
@@ -146,12 +162,14 @@ def test_inference_never_holds_the_input_stack(tmp_path, monkeypatch):
                     rng.random((64, 64, 3)).astype(np.float32))
     manifest = tmp_path / "manifest.jsonl"
     write_manifest(manifest, rows)
-    params = init_params(ModelConfig(), 0)
+    ckpt = save_checkpoint(init_params(ModelConfig(), 0), tmp_path / "ckpt")
+    # One label class has no metrics; the pass measured here is inference.
+    monkeypatch.setattr(evaluation, "evaluation_report", lambda *args: {})
     stack_bytes = 200 * 64 * 64 * 3 * np.dtype(np.float32).itemsize
-    prediction_set_from_manifest(params, manifest)  # first-call set-up stays out
+    evaluate_model(ckpt, manifest)  # first-call set-up stays out of the peak
     tracemalloc.start()
     try:
-        prediction_set_from_manifest(params, manifest)
+        evaluate_model(ckpt, manifest)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

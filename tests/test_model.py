@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -548,7 +547,7 @@ class TestPredict:
         outs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
-            outs[threads] = predict(images.astype(np.float32), params, 5)
+            outs[threads] = predict(images.astype(np.float32), params)
         # One worker, or one chunk, runs inline; else a pool of two threads.
         assert pools == ([2] if chunks > 1 else [])
         assert [a.shape[0] for a in outs["1"]] == [n, n, n]
@@ -563,7 +562,7 @@ class TestPredict:
         params = init_params(self.CFG, 0)
         images = np.random.default_rng(9).random((101, 32, 32, 3))
         monkeypatch.setenv("PAINFORGE_THREADS", "1")
-        serial = predict(images, params, 2)
+        serial = predict(images, params)
         monkeypatch.setenv("PAINFORGE_THREADS", "6")
 
         def expire(signum, frame):
@@ -574,7 +573,7 @@ class TestPredict:
         sys.setswitchinterval(1e-5)
         signal.alarm(60)
         try:
-            threaded = predict(images, params, 2)
+            threaded = predict(images, params)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -600,7 +599,7 @@ class TestPredict:
         params = init_params(config, 0)
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
-            for lazy, eager in zip(predict(stack, params, 5), predict(full, params, 5)):
+            for lazy, eager in zip(predict(stack, params), predict(full, params)):
                 assert lazy.tobytes() == eager.tobytes()
         assert pools == [2, 2]
 
@@ -624,7 +623,7 @@ class TestPredict:
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
             with pytest.raises(DataError) as exc:
-                predict(stack, params, 5)
+                predict(stack, params)
             messages[threads] = str(exc.value)
         assert pools == [2]
         assert readers[0] is threading.main_thread() is not readers[1]
@@ -639,57 +638,38 @@ class TestPredict:
         for threads in ("1", "2"):
             monkeypatch.setenv("PAINFORGE_THREADS", threads)
             with pytest.raises(NumericError) as exc:
-                predict(images, params, 5)
+                predict(images, params)
             messages[threads] = str(exc.value)
         assert messages["1"] == messages["2"]
         assert "(5, 4, 768)" in messages["1"]  # the 5-image last encoder chunk
 
+    @pytest.mark.parametrize("n", [1, 37, 70, 161])
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_which_outputs_depend_on_batch_size(self, monkeypatch, threads):
-        # Encoder rows are computed per image, so the CLS features and the
-        # AU-query branch are the same at every batch size; the pain head's
-        # GEMMs see the batch_size partition, as forward over it does.
+    def test_outputs_equal_forward_over_64_image_groups(self, monkeypatch, threads, n):
+        # The heads' GEMMs see one fixed partition, whoever calls: consecutive
+        # groups of 64 rows, the last one partial unless 64 divides n.
         params = init_params(self.CFG, 0)
-        assert self.CFG.use_au_queries
-        images = np.random.default_rng(4).random((70, 32, 32, 3)).astype(np.float32)
+        images = np.random.default_rng(n).random((n, 32, 32, 3)).astype(np.float32)
         monkeypatch.setenv("PAINFORGE_THREADS", threads)
-        reference = predict(images, params, 64)
         constant = params.detach()
-        for batch_size in (1, 5, 7, 16, 31, 33, 64):
-            logits, au_pred, cls_features = predict(images, params, batch_size)
-            assert cls_features.tobytes() == reference[2].tobytes()
-            assert au_pred.tobytes() == reference[1].tobytes()
-            batches = [forward(images[lo:lo + batch_size], constant).pspi_logits.data
-                       for lo in range(0, len(images), batch_size)]
-            assert logits.tobytes() == np.concatenate(batches).tobytes()
-
-    def test_memory_does_not_grow_with_batch_size(self, monkeypatch):
-        # The encoder runs in fixed chunks; only the small heads see a batch.
-        monkeypatch.setenv("PAINFORGE_THREADS", "1")
-        params = init_params(ModelConfig(), 1)
-        images = np.random.default_rng(1).random((192, 64, 64, 3)).astype(np.float32)
-        predict(images[:2], params, 2)  # first-call set-up stays out of the peaks
-        peaks = {}
-        for batch_size in (16, 64):
-            tracemalloc.start()
-            try:
-                predict(images, params, batch_size)
-                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[64] <= 1.1 * peaks[16], peaks
+        groups = [forward(images[lo:lo + 64], constant) for lo in range(0, n, 64)]
+        expected = [np.concatenate([getattr(out, name).data for out in groups])
+                    for name in ("pspi_logits", "au_pred", "cls_feature")]
+        for got, want in zip(predict(images, params), expected, strict=True):
+            assert got.shape[0] == n
+            assert got.tobytes() == want.tobytes()
 
     def test_no_images_is_a_dimension_error(self, pools, monkeypatch):
         monkeypatch.setenv("PAINFORGE_THREADS", "2")
         with pytest.raises(DimensionError, match="at least one image"):
-            predict(np.zeros((0, 32, 32, 3), np.float32), init_params(self.CFG, 0), 4)
+            predict(np.zeros((0, 32, 32, 3), np.float32), init_params(self.CFG, 0))
         assert pools == []
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_count_is_a_config_error(self, monkeypatch, raw):
         monkeypatch.setenv("PAINFORGE_THREADS", raw)
         with pytest.raises(ConfigError, match="PAINFORGE_THREADS"):
-            predict(np.zeros((2, 32, 32, 3)), init_params(self.CFG, 0), 1)
+            predict(np.zeros((2, 32, 32, 3)), init_params(self.CFG, 0))
 
     def test_bit_equal_under_the_default_blas_thread_count(self):
         # A fresh process with no BLAS thread limit set, at the default model
@@ -701,7 +681,7 @@ class TestPredict:
             "images = np.random.default_rng(1).random((150, 64, 64, 3))\n"
             "for threads in ('1', '2'):\n"
             "    os.environ['PAINFORGE_THREADS'] = threads\n"
-            "    outs = predict(images.astype(np.float32), params, 64)\n"
+            "    outs = predict(images.astype(np.float32), params)\n"
             "    print(hashlib.sha256(b''.join(a.tobytes() for a in outs)).hexdigest())\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {k: v for k, v in os.environ.items()

@@ -538,7 +538,7 @@ class TestDistillationInputs:
         for path in sorted(student.iterdir()):
             digest.update(path.name.encode() + path.read_bytes())
         for ckpt in (teacher, student):
-            report = evaluate_model(ckpt, manifest, k_folds=3, batch_size=5)
+            report = evaluate_model(ckpt, manifest, k_folds=3)
             digest.update(json.dumps(report, sort_keys=True).encode())
         assert digest.hexdigest() == \
             "a704b9b841271e3f3b01601a7efe3305307505cb4509bc4b0e570ed035683201"
