@@ -13,7 +13,8 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .errors import ConfigError, PainforgeError
 from .evaluation import evaluate_model
-from .facesynth.dataset import build_dataset, demographic_summary
+from .facesynth.dataset import (build_dataset, demographic_summary,
+                                teacher_rows)
 from .fileio import (append_json_line, file_sha256, read_manifest, write_json,
                      write_manifest)
 from .metrics import subject_holdout
@@ -163,11 +164,16 @@ def cmd_pipeline(args) -> int:
             raise ConfigError("the test split is empty: one identity leaves none "
                               "to hold out; dataset.identities must be >= 2")
         test_rows = [r for r in rows if r["split_subject_id"] in test]
-        classes = sorted({r["pspi"] for r in test_rows})
-        if len(classes) < 2:
-            raise ConfigError(f"the test split holds only PSPI {classes} over "
-                              f"{len(test)} subjects; its macro AUROC needs two "
-                              f"classes (see dataset.pspi_distribution)")
+        # The teacher is scored on its own rows of the split, which can hold
+        # one PSPI value when the whole split holds two.
+        for split, split_rows in (("test split", test_rows),
+                                  ("teacher's share of the test split",
+                                   teacher_rows(test_rows))):
+            classes = sorted({r["pspi"] for r in split_rows})
+            if len(classes) < 2:
+                raise ConfigError(f"the {split} holds only PSPI {classes} over "
+                                  f"{len(test)} subjects; its macro AUROC needs two "
+                                  f"classes (see dataset.pspi_distribution)")
         train_manifest = out_root / "data" / "manifest_train.jsonl"
         test_manifest = out_root / "data" / "manifest_test.jsonl"
         write_manifest(train_manifest,

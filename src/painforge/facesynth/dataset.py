@@ -8,6 +8,7 @@ line-oriented JSON manifest tying frames to labels and demographics.
 
 from __future__ import annotations
 
+import copy
 import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -213,6 +214,16 @@ def heatmap_of(row: dict) -> str | None:
     return None if row["expression_id"] is None else row["heatmap_path"]
 
 
+def teacher_rows(rows: list[dict]) -> list[dict]:
+    """The rows a heatmap model trains and is scored on: the first row of each
+    distinct ``heatmap_of``, in order, with neutral rows dropped."""
+    first = {}
+    for row in rows:
+        first.setdefault(heatmap_of(row), row)
+    first.pop(None, None)
+    return list(first.values())
+
+
 class FrameStack:
     """Model inputs for ``config``, read on demand: a stack of the files at
     ``paths`` under ``root``, with a channel axis for heatmap models; a None
@@ -221,15 +232,17 @@ class FrameStack:
     (ConfigError); ``len`` and ``shape`` follow from it and the paths. A slice
     ``[lo:hi]`` reads just its files into a fresh array in the lead's dtype
     (float32 for a built dataset); each must have the lead's shape and dtype
-    (DataError naming the file). Slices may be read from several threads.
+    (DataError naming the file). ``take(rows)`` is the stack of some rows,
+    read the same way, so a training step reads only its batch's files.
+    Slices may be read from several threads.
     """
 
     def __init__(self, root, paths: list[str | None], config: ModelConfig):
         if not paths:
             raise DataError("manifest has no rows to load")
         self.root, self.paths, self._size = Path(root), list(paths), config.image_size
-        self._lead = next((i for i, path in enumerate(paths) if path is not None), 0)
-        lead = self._lead_image = self._read(self.paths[self._lead], np.float32)
+        self._lead = next((path for path in paths if path is not None), None)
+        lead = self._lead_image = self._read(self._lead, np.float32)
         if lead.shape[:2] != (self._size, self._size):
             raise ConfigError(f"data resolution {lead.shape[0]}x{lead.shape[1]} does not "
                               f"match model config {self._size}x{self._size}")
@@ -245,16 +258,23 @@ class FrameStack:
             return np.zeros((self._size, self._size), dtype)
         return load_tensor(self.root / path)
 
+    def take(self, rows) -> FrameStack:
+        """The stack of this stack's ``rows``, in that order; reads no file."""
+        view = copy.copy(self)
+        view.paths = [self.paths[i] for i in rows]
+        view.shape = (len(view.paths),) + self.shape[1:]
+        return view
+
     def __getitem__(self, key: slice) -> np.ndarray:
-        rows = range(len(self.paths))[key]
-        stacked = np.empty((len(rows),) + self.shape[1:], self.dtype)
-        for out, i in enumerate(rows):
-            image = (self._lead_image if i == self._lead
-                     else self._read(self.paths[i], self.dtype))
+        paths = self.paths[key]
+        stacked = np.empty((len(paths),) + self.shape[1:], self.dtype)
+        for out, path in enumerate(paths):
+            image = (self._lead_image if path == self._lead
+                     else self._read(path, self.dtype))
             if image.shape != self._lead_image.shape or image.dtype != self.dtype:
-                raise DataError(f"{self.paths[i]}: {image.dtype} image of shape "
+                raise DataError(f"{path}: {image.dtype} image of shape "
                                 f"{image.shape} differs from the {self.dtype} "
-                                f"{self._lead_image.shape} of {self.paths[self._lead]}")
+                                f"{self._lead_image.shape} of {self._lead}")
             stacked[out] = image.reshape(self.shape[1:])
         return stacked
 
@@ -264,7 +284,9 @@ _ROW_KEYS = _ROW_IDS + ("rgb_path", "heatmap_path", "au", "pspi")
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer that fits int64, which is how ids and labels are stacked."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and -2**63 <= value < 2**63)
 
 
 def _row_label(manifest: Path, number: int, row: dict) -> str:
@@ -278,7 +300,7 @@ def _row_label(manifest: Path, number: int, row: dict) -> str:
         raise DataError(f"{name} has no {', '.join(missing)}")
     for key in _ROW_IDS:
         if not (_is_int(row[key]) or key == "expression_id" and row[key] is None):
-            raise DataError(f"{name}: {key} {row[key]!r} is not an integer")
+            raise DataError(f"{name}: {key} {row[key]!r} is not a 64-bit integer")
     where = (f"{name} (identity {row['identity_id']}, expression "
              f"{row['expression_id']}, view {row['view_id']})")
     au = row["au"]
@@ -302,12 +324,11 @@ def load_model_inputs(manifest_path, rows: list[dict], config: ModelConfig):
     paths as ``_row_label`` sets out. A rigged row needs its heatmap, and a
     row path must be a string (None stands for a neutral row's heatmap) that
     is neither absolute nor has a ``..`` part. RGB models
-    see every row. Heatmap models (one channel) see the first row of each
-    distinct ``heatmap_of``, neutral rows excluded; a
+    see every row. Heatmap models (one channel) see ``teacher_rows``; a
     manifest without heatmaps is a DataError for them. The inputs are a
     ``FrameStack``: only its lead file is read here. ``predict`` reads each
-    encode chunk's files in the thread that encodes it, so inference never
-    holds the whole stack; ``inputs[:]`` reads it in full.
+    encode chunk's files in the thread that encodes it, and a training step
+    reads only its batch's files, so no stage holds the whole stack.
     """
     manifest_path = Path(manifest_path)
     for number, row in enumerate(rows, start=1):
@@ -315,21 +336,18 @@ def load_model_inputs(manifest_path, rows: list[dict], config: ModelConfig):
         if row["expression_id"] is not None and not row["heatmap_path"]:
             raise DataError(f"{where} is missing its heatmap")
         for key in ("rgb_path", "heatmap_path"):
-            if not isinstance(row[key], str) and (key == "rgb_path" or row[key]):
+            if (not isinstance(row[key], str) and (key == "rgb_path" or row[key])
+                    or "\0" in (row[key] or "")):
                 raise DataError(f"{where}: {key} {row[key]!r} is not a path")
             path = Path(row[key] or ".")
             if path.is_absolute() or ".." in path.parts:
                 raise DataError(f"{where}: {key} {row[key]!r} leaves the dataset root")
     if config.in_channels == 1:
-        first = {}
-        for row in rows:
-            first.setdefault(heatmap_of(row), row)
-        first.pop(None, None)
-        if not first:
+        rows = teacher_rows(rows)
+        if not rows:
             raise DataError(f"{manifest_path} has no heatmap rows for a heatmap model")
-        rows, paths = list(first.values()), list(first)
-    else:
-        paths = [r["rgb_path"] for r in rows]
+    key = "heatmap_path" if config.in_channels == 1 else "rgb_path"
+    paths = [r[key] for r in rows]
     return (FrameStack(manifest_path.parent, paths, config),
             np.array([r["pspi"] for r in rows], dtype=np.int64),
             np.array([r["au"] for r in rows], dtype=np.float64),

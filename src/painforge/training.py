@@ -170,7 +170,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
     def validation_auroc() -> float | None:
         if val_idx.size == 0:
             return None
-        logits, _, _ = predict(inputs[val_idx], params)
+        logits, _, _ = predict(inputs.take(val_idx), params)
         try:
             return macro_auroc(T.softmax(logits, axis=-1).data, pspi[val_idx])
         except MetricError:
@@ -180,7 +180,7 @@ def _train_loop(role: str, data: tuple, teacher_arrays, model_config: ModelConfi
         """One AdamW step on ``batch``; returns its loss terms as floats. The
         step's autodiff graph is referenced only from here, so it is freed on
         return, before the next step's forward."""
-        out = forward(inputs[batch], params, training=True,
+        out = forward(inputs.take(batch)[:], params, training=True,
                       run_seed=config.seed, step=step)
         teacher = (None if teacher_arrays is None
                    else tuple(a[batch] for a in teacher_arrays))
@@ -246,10 +246,9 @@ def train_teacher(manifest_path, out_dir, model_config: ModelConfig | None = Non
                   loss_weights: LossWeights | None = None):
     """Supervised training on frontal heatmaps, one sample per expression."""
     model_config = dataclasses.replace(model_config or ModelConfig(), in_channels=1)
-    # Batches are drawn at random every epoch, so the inputs are read in full.
-    inputs, *labels = load_model_inputs(manifest_path, read_manifest(manifest_path),
-                                        model_config)
-    return _train_loop("teacher", (inputs[:], *labels), None, model_config,
+    # The inputs stay a FrameStack: each step reads its own batch's files.
+    data = load_model_inputs(manifest_path, read_manifest(manifest_path), model_config)
+    return _train_loop("teacher", data, None, model_config,
                        train_config or TrainConfig(), loss_weights or LossWeights(),
                        out_dir)
 
@@ -294,8 +293,7 @@ def train_student(manifest_path, out_dir, teacher_checkpoint=None,
                 f"teacher hidden dim {teacher.config.hidden_dim} does not match "
                 f"student {model_config.hidden_dim}; CLS features cannot align")
     rows = read_manifest(manifest_path)
-    inputs, *labels = load_model_inputs(manifest_path, rows, model_config)
-    data = (inputs[:], *labels)
+    data = load_model_inputs(manifest_path, rows, model_config)
     teacher_arrays = (None if teacher is None else _precompute_teacher_signals(
         rows, Path(manifest_path).parent, teacher))
     role = "student_baseline" if teacher is None else "student_distilled"

@@ -533,6 +533,26 @@ class TestPipeline:
         ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
         assert [json.loads(line)["stage"] for line in ledger] == ["generate"]
 
+    def test_one_class_teacher_share_exits_2_before_any_training(self, tmp_path,
+                                                                  capsys):
+        # The test split holds PSPI {0, 10}; its one heatmap frame, PSPI 10.
+        config = tmp_path / "p.cfg"
+        config.write_text(
+            "seed = 1\n"
+            "dataset.identities = 4\ndataset.expressions = 1\n"
+            "dataset.views = 0\ndataset.resolution = 32\n"
+            "model.hidden_dim = 32\nmodel.patch_size = 16\n"
+            "model.num_layers = 1\nmodel.num_heads = 2\n"
+            "train.epochs = 1\ntrain.freeze_epochs = 0\ntrain.batch_size = 8\n"
+            f"out = {tmp_path / 'pipe'}\n")
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "the teacher's share of the test split holds only PSPI [10]" in err
+        assert not list((tmp_path / "pipe").glob("train_*"))
+        ledger = (tmp_path / "pipe" / "ledger.jsonl").read_text().splitlines()
+        assert [json.loads(line)["stage"] for line in ledger] == ["generate"]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault, code", [("lr_heads", 1), ("config_error", 2)])
     def test_failure_is_reported_once_with_its_stage(self, tmp_path, capsys,
@@ -541,7 +561,7 @@ class TestPipeline:
         config = tmp_path / "p.cfg"
         config.write_text(
             "seed = 1\n"
-            "dataset.identities = 4\ndataset.expressions = 1\n"
+            "dataset.identities = 8\ndataset.expressions = 2\n"
             "dataset.views = 0\ndataset.resolution = 32\n"
             "model.hidden_dim = 32\nmodel.patch_size = 16\n"
             "model.num_layers = 1\nmodel.num_heads = 2\n"

@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from painforge.errors import ConfigError, DataError, GeometryError
 from painforge.facesynth import dataset
@@ -135,6 +138,80 @@ class TestModelInputs:
         with pytest.raises(DataError, match=rows[4]["rgb_path"]):
             load_model_inputs(copy / "manifest.jsonl", rows,
                               ModelConfig(image_size=32))[0][:]
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_take_reads_its_rows_in_order_on_slicing(self, built, monkeypatch,
+                                                     channels):
+        _, manifest, rows = built
+        stack = load_model_inputs(manifest, rows,
+                                  ModelConfig(image_size=32, in_channels=channels))[0]
+        full = stack[:]
+        picks = np.array([5, 0, 5, len(stack) - 1, 2])
+        reads = []
+        monkeypatch.setattr(dataset, "load_tensor",
+                            lambda path: reads.append(path) or load_tensor(path))
+        view = stack.take(picks)
+        assert not reads and len(view) == 5 and view.shape == (5,) + full.shape[1:]
+        taken = view[:]
+        assert taken.dtype == full.dtype and taken.tobytes() == full[picks].tobytes()
+        # The lead (row 0) is not read again; every other pick is read once.
+        assert len(reads) == 4
+        assert view.take([3, 1])[:].tobytes() == full[picks[[3, 1]]].tobytes()
+
+    @pytest.mark.parametrize("fault", ["dtype", "shape"])
+    def test_take_keeps_the_read_checks(self, built, tmp_path, fault):
+        out, _, rows = built
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        victim = rows[4]["rgb_path"]
+        image = load_tensor(copy / victim)
+        save_tensor(copy / victim, image.astype(np.float64) if fault == "dtype"
+                    else np.zeros((16, 16, 3), np.float32))
+        stack = load_model_inputs(copy / "manifest.jsonl", rows,
+                                  ModelConfig(image_size=32))[0]
+        view = stack.take([3, 4])  # reads no file, so no error yet
+        assert view.take([0])[:].tobytes() == stack[3:4].tobytes()
+        with pytest.raises(DataError, match=f"{victim}: float"):
+            view[:]
+
+
+# The fields of a built manifest row, each open to one mutation; _DELETED drops it.
+_DELETED = object()
+_ROW_FIELDS = ("age_group", "au", "camera_yaw", "ethnicity", "expression_id",
+               "gender", "heatmap_path", "identity_id", "pspi", "rgb_path",
+               "split_subject_id", "view_id")
+_FIELD_VALUES = st.one_of(
+    st.just(_DELETED), st.none(), st.booleans(), st.integers(),
+    st.floats(), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-2, 20), st.floats()), max_size=8),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example(number=1, key="split_subject_id", value=2**64, channels=3)
+@example(number=1, key="rgb_path", value="frames/a\0b.p3dt", channels=3)
+@given(number=st.integers(1, 27), key=st.sampled_from(_ROW_FIELDS),
+       value=_FIELD_VALUES, channels=st.sampled_from([1, 3]))
+def test_one_mutated_field_is_accepted_or_names_its_row(built, number, key, value,
+                                                        channels):
+    # The row schema either takes a mutated row or rejects it by name: the
+    # only other error is the read of a path it takes, which names that file.
+    _, manifest, rows = built
+    assert len(rows) == 27
+    rows = [dict(row) for row in rows]
+    if value is _DELETED:
+        del rows[number - 1][key]
+    else:
+        rows[number - 1][key] = value
+    try:
+        load_model_inputs(manifest, rows, ModelConfig(image_size=32,
+                                                      in_channels=channels))
+    except DataError as exc:
+        message = str(exc)
+        if not re.match(rf"{re.escape(str(manifest))}: manifest row {number}\b",
+                        message):
+            assert key.endswith("_path") and isinstance(value, str), message
+            assert message.startswith(f"{manifest.parent / value}: "), message
 
 
 class TestDeterminism:

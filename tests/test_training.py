@@ -4,14 +4,15 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from painforge import training
 from painforge.errors import ConfigError, DataError, DimensionError, NumericError
-from painforge.facesynth.dataset import (DatasetSpec, build_dataset, heatmap_of,
-                                         load_model_inputs)
+from painforge.facesynth.dataset import (DatasetSpec, FrameStack, build_dataset,
+                                         heatmap_of, load_model_inputs)
 from painforge.evaluation import evaluate_model
 from painforge.fileio import read_manifest, save_tensor, write_manifest
 from painforge.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -568,3 +569,63 @@ class TestTrainReport:
         assert rep_a.canonical_lines() == rep_b.canonical_lines()
         assert (tmp_path / "a" / "train_report.jsonl").read_bytes() == \
             (tmp_path / "b" / "train_report.jsonl").read_bytes()
+
+
+def _frame_manifest(root, n, size):
+    """A manifest of ``n`` one-view rigged rows, four to a subject, with
+    random ``size``-px float32 frames and heatmaps and PSPI cycling over 0-2."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(n):
+        rows.append({"identity_id": i // 4, "expression_id": i % 4, "view_id": 0,
+                     "split_subject_id": i // 4, "rgb_path": f"f{i:03d}.p3dt",
+                     "heatmap_path": f"h{i:03d}.p3dt", "au": [0.0] * 6,
+                     "pspi": i % 3})
+        save_tensor(root / rows[-1]["rgb_path"],
+                    rng.random((size, size, 3)).astype(np.float32))
+        save_tensor(root / rows[-1]["heatmap_path"],
+                    rng.random((size, size)).astype(np.float32))
+    manifest = root / "manifest.jsonl"
+    write_manifest(manifest, rows)
+    return manifest
+
+
+class TestStreamedInputs:
+    CONFIG = TrainConfig(epochs=2, freeze_epochs=1, batch_size=8, seed=2)
+
+    def test_no_read_holds_more_than_a_batch_or_an_encode_chunk(self, tmp_path,
+                                                                monkeypatch):
+        manifest = _frame_manifest(tmp_path, 48, 32)
+        sizes = []
+        real_getitem = FrameStack.__getitem__
+
+        def spy(stack, key):
+            images = real_getitem(stack, key)
+            sizes.append(len(images))
+            return images
+
+        monkeypatch.setattr(FrameStack, "__getitem__", spy)
+        teacher, _ = train_teacher(manifest, tmp_path / "t", model_config=MODEL32,
+                                   train_config=self.CONFIG)
+        train_student(manifest, tmp_path / "s", teacher_checkpoint=teacher,
+                      model_config=MODEL32, train_config=self.CONFIG)
+        assert sizes and max(sizes) <= max(self.CONFIG.batch_size, 16), sizes
+
+    def test_training_never_holds_the_input_stack(self, tmp_path, monkeypatch):
+        # Each step reads its batch's frames and validation one encode chunk at
+        # a time, so a run peaks below the float32 stack of its inputs.
+        monkeypatch.setenv("PAINFORGE_THREADS", "1")
+        manifest = _frame_manifest(tmp_path, 400, 32)
+        stack_bytes = 400 * 32 * 32 * 3 * np.dtype(np.float32).itemsize
+        config = dataclasses.replace(self.CONFIG, epochs=1, freeze_epochs=0)
+        # The first run's set-up stays out of the peak.
+        train_student(manifest, tmp_path / "warm", model_config=MODEL32,
+                      train_config=config)
+        tracemalloc.start()
+        try:
+            train_student(manifest, tmp_path / "run", model_config=MODEL32,
+                          train_config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes, (peak, stack_bytes)
